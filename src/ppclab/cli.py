@@ -23,7 +23,13 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import __version__
-from .energy import DEFAULT_MAX_HASH_PAIRS, BudgetError, additive_energy, energy_scaling
+from .energy import (
+    DEFAULT_MAX_PAIRS,
+    BudgetError,
+    additive_energy,
+    check_pair_budget,
+    energy_scaling,
+)
 from .growth import (
     GrowthFunction,
     parse_growth,
@@ -199,15 +205,14 @@ EXPERIMENTS: dict[str, list[Param]] = {
     ],
     "energy": _SEQ_PARAMS + [
         Param("energy.n", "--n", _p_int, help="truncation (default: full length)"),
-        Param("energy.method", "--method", _p_str, default="auto"),
         Param("energy.max_pairs", "--max-pairs", _p_int,
-              default=str(DEFAULT_MAX_HASH_PAIRS)),
+              default=str(DEFAULT_MAX_PAIRS)),
     ],
     "scaling": _SEQ_PARAMS + [
         Param("scaling.levels", "--levels", _p_levels,
               help="e.g. 8..13 (default: all levels with a nonempty run)"),
         Param("scaling.max_pairs", "--max-pairs", _p_int,
-              default=str(DEFAULT_MAX_HASH_PAIRS)),
+              default=str(DEFAULT_MAX_PAIRS)),
         Param("out.csv", "--csv", _p_str, required=True),
     ],
     "pc": _SEQ_PARAMS + [
@@ -250,7 +255,7 @@ EXPERIMENTS: dict[str, list[Param]] = {
         Param("table.gamma", "--gamma", _p_float, default="1/3"),
         Param("table.eps", "--eps", _p_float, default="1"),
         Param("table.max_pairs", "--max-pairs", _p_int,
-              default=str(DEFAULT_MAX_HASH_PAIRS)),
+              default=str(DEFAULT_MAX_PAIRS)),
         Param("out.csv", "--csv", _p_str, required=True),
     ],
 }
@@ -406,9 +411,8 @@ def _run_energy(p: dict[str, object], ctx: RunContext) -> None:
     seq = _load_sequence(p)
     n = p["energy.n"] if p["energy.n"] is not None else len(as_elements(seq))
     prefix = truncate(seq, n)
-    value = additive_energy(
-        prefix, method=p["energy.method"], max_hash_pairs=p["energy.max_pairs"]
-    )
+    check_pair_budget([n], p["energy.max_pairs"])
+    value = additive_energy(prefix)
     print(f"n = {n}")
     print(f"E = {value}")
     ctx.finish()

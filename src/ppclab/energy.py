@@ -8,14 +8,16 @@ the quadruples by their common difference.
 
 Three independent routes are implemented and kept separate on purpose:
 
-* ``additive_energy`` — the production path over pairwise differences,
-  either hashed (fast, memory O(#distinct differences)) or as a streaming
-  sorted merge (slower, memory O(#A)) for inputs whose difference sets
-  would not fit;
+* ``additive_energy`` — the production path: a streaming sorted merge of
+  the pairwise differences, memory O(#A) however many differences are
+  distinct;
 * ``additive_energy_bruteforce`` — enumeration straight from the
   definition, for oracle duty on small sets;
 * ``additive_energy_convolution`` — an FFT autocorrelation cross-check,
   valid for dense polynomial-range inputs only.
+
+``rep_counts`` keeps a dict of every difference; it is the oracle that
+``additive_energy`` is tested against, for moderate inputs only.
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ def rep_counts(x: Iterable[int], y: Iterable[int] | None = None) -> RepCounts:
     """All ordered-pair differences x - y with multiplicity.
 
     With one argument, counts X - X; then rep(0) = #X, rep is symmetric
-    around 0, and the total mass is (#X)^2.  Cost is #X * #Y hashed
-    subtractions — meant for moderate inputs, not the scaling runs.
+    around 0, and the total mass is (#X)^2.  Cost is #X * #Y
+    subtractions held in a dict — the oracle for ``additive_energy`` on
+    moderate inputs, not the scaling runs.
     """
     xs = _validated(x)
     ys = xs if y is None else _validated(y)
@@ -90,52 +93,35 @@ def energy_from_reps(reps: RepCounts) -> int:
     return sum(c * c for c in reps.counts.values())
 
 
-# At the default cap the hashed path keeps at most ~17M mostly-distinct
-# big-integer keys, which fits in a few GB; larger inputs stream instead.
-DEFAULT_MAX_HASH_PAIRS = 1 << 24
+# The default budget admits sum n^2 <= 2^24 pair operations per request: one
+# set of up to 4096 elements, or several smaller checkpoints.
+DEFAULT_MAX_PAIRS = 1 << 24
 
 
-def additive_energy(
-    a: Iterable[int],
-    method: str = "auto",
-    max_hash_pairs: int = DEFAULT_MAX_HASH_PAIRS,
-) -> int:
+def check_pair_budget(sizes: Iterable[int], max_pairs: int | None) -> None:
+    """Refuse energy work on sets of the given sizes when its sum of n^2
+    pair operations exceeds ``max_pairs`` (None: no budget).  Call it
+    before any difference is formed."""
+    if max_pairs is None:
+        return
+    total_pairs = sum(n * n for n in sizes)
+    if total_pairs > max_pairs:
+        raise BudgetError(
+            f"about {total_pairs} pair operations requested, over the "
+            f"budget of {max_pairs}"
+        )
+
+
+def additive_energy(a: Iterable[int], method: str = "sorted") -> int:
     """The number of quadruples (a, b, c, d) with a + b = c + d, exactly.
 
-    ``method`` is "hash", "sorted", or "auto" (hash below ``max_hash_pairs``
-    unordered pairs, sorted merge above).  Both routes count multiplicities
-    of the positive differences and use E = n^2 + 2 * sum of squared counts.
+    One increasing stream of differences per anchor element, merged lazily;
+    runs of equal positive differences give E = n^2 + 2 * sum of squared
+    run lengths.  ``method`` accepts only "sorted", the one route.
     """
+    if method != "sorted":
+        raise ValueError(f"unknown method {method!r}; the only route is 'sorted'")
     xs = _validated(a)
-    n = len(xs)
-    pairs = n * (n - 1) // 2
-    if method == "auto":
-        method = "hash" if pairs <= max_hash_pairs else "sorted"
-    if method == "hash":
-        counts = Counter(
-            xs[j] - xs[i] for i in range(n - 1) for j in range(i + 1, n)
-        )
-        square_sum = sum(c * c for c in counts.values())
-    elif method == "sorted":
-        square_sum = _square_sum_sorted(xs)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return n * n + 2 * square_sum
-
-
-def _anchor_stream(xs: Sequence[int], i: int):
-    # a real function scope: a bare nested genexp would close over the loop
-    # variable and read its final value once the merge starts consuming
-    anchor = xs[i]
-    return (xs[j] - anchor for j in range(i + 1, len(xs)))
-
-
-def _square_sum_sorted(xs: Sequence[int]) -> int:
-    """Sum of squared multiplicities of positive differences, streaming.
-
-    One increasing stream per anchor element, merged lazily; memory stays
-    O(n) no matter how many distinct differences there are.
-    """
     n = len(xs)
     streams = (_anchor_stream(xs, i) for i in range(n - 1))
     square_sum = 0
@@ -148,7 +134,14 @@ def _square_sum_sorted(xs: Sequence[int]) -> int:
             square_sum += run_len * run_len
             run_value, run_len = d, 1
     square_sum += run_len * run_len
-    return square_sum
+    return n * n + 2 * square_sum
+
+
+def _anchor_stream(xs: Sequence[int], i: int):
+    # a real function scope: a bare nested genexp would close over the loop
+    # variable and read its final value once the merge starts consuming
+    anchor = xs[i]
+    return (xs[j] - anchor for j in range(i + 1, len(xs)))
 
 
 def additive_energy_bruteforce(a: Iterable[int]) -> int:
@@ -241,10 +234,7 @@ class ScalingResult:
 
 
 def energy_scaling(
-    seq: BlockSequence,
-    levels: Sequence[int],
-    method: str = "auto",
-    max_pairs: int | None = None,
+    seq: BlockSequence, levels: Sequence[int], max_pairs: int | None = None
 ) -> ScalingResult:
     """Exact energy at the requested checkpoints, normalized by the
     predicted growth: E * f(N)^(3*(beta-gamma)) / N^3 at N = T_level.
@@ -257,18 +247,12 @@ def energy_scaling(
     for j in levels:
         if not (1 <= j <= params.j_max):
             raise ValueError(f"level {j} outside built range 1..{params.j_max}")
-    if max_pairs is not None:
-        total_pairs = sum(seq.checkpoint(j) ** 2 for j in levels)
-        if total_pairs > max_pairs:
-            raise BudgetError(
-                f"about {total_pairs} pair operations requested, over the "
-                f"budget of {max_pairs}"
-            )
+    check_pair_budget((seq.checkpoint(j) for j in levels), max_pairs)
     exponent = 3.0 * (params.beta - params.gamma)
     rows = []
     for j in levels:
         n = seq.checkpoint(j)
-        energy = additive_energy(truncate(seq, n), method=method)
+        energy = additive_energy(truncate(seq, n))
         f_n = params.f(float(n))
         normalized = energy * f_n**exponent / float(n) ** 3
         a_len = seq.a_block(j).length

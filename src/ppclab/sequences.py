@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
-from .growth import GrowthFunction, parse_growth
+from .growth import GrowthFunction, _parse_number, parse_growth
 
 __all__ = [
     "BlockParams",
@@ -276,21 +276,9 @@ def _first_primes(n: int) -> list[int]:
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    # p_n < n (ln n + ln ln n) for n >= 6 (Rosser-Schoenfeld), so the sieve
+    # always holds at least n primes
     primes = [i for i, flag in enumerate(sieve) if flag]
-    if len(primes) < n:  # the bound is proven for n >= 6, but stay defensive
-        return _first_primes_grow(n, primes, bound)
-    return primes[:n]
-
-
-def _first_primes_grow(n: int, primes: list[int], bound: int) -> list[int]:
-    while len(primes) < n:
-        bound *= 2
-        sieve = bytearray([1]) * (bound + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, math.isqrt(bound) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        primes = [i for i, flag in enumerate(sieve) if flag]
     return primes[:n]
 
 
@@ -404,18 +392,10 @@ def rebuild_from_meta(meta: dict[str, str]) -> BlockSequence:
     """Rebuild a block sequence from file metadata written by write_sequence."""
     try:
         f = parse_growth(meta["f"])
-        beta = float(eval_fraction(meta["beta"]))
-        gamma = float(eval_fraction(meta["gamma"]))
+        beta = _parse_number(meta["beta"])
+        gamma = _parse_number(meta["gamma"])
         j_max = int(meta["jmax"])
     except KeyError as exc:
         raise ValueError(f"sequence file lacks block metadata key {exc}") from None
     return build_blocks(f, beta, gamma, j_max)
 
-
-def eval_fraction(token: str) -> float:
-    """Parse '2/3' or '0.66' into a float (used for beta/gamma round-trips)."""
-    token = token.strip()
-    if "/" in token:
-        num, _, den = token.partition("/")
-        return float(num) / float(den)
-    return float(token)

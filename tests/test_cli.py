@@ -214,8 +214,15 @@ def test_budget_refusals_exit_4(tmp_path, capsys):
     assert run_cli("build-seq", "--f", "ilog(1)", "--beta", "2/3",
                    "--gamma", "1/3", "--jmax", 25,
                    "--out", tmp_path / "x.txt") == 4
+    # n^2 = 25M pair operations, over the default budget of 2^24
+    assert run_cli("energy", "--family", "identity", "--seq-n", 5000) == 4
+    path = tmp_path / "trivial3.txt"
+    path.write_text("1\n2\n3\n")
+    assert run_cli("energy", "--seq", path, "--max-pairs", 8) == 4
     err = capsys.readouterr().err
-    assert err.count("budget refusal") == 2
+    assert err.count("budget refusal") == 4
+    assert run_cli("energy", "--seq", path, "--max-pairs", 9) == 0
+    assert "E = 19" in capsys.readouterr().out
 
 
 def test_edited_sequence_file_is_rejected(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Unit tests for representation counts and additive energy.
 
-Oracle discipline: the production path (hashed/sorted difference counting)
-is checked against brute-force enumeration from the definition, which in turn
-is checked against the most literal quadruple loop on tiny sets; progressions
-are additionally checked against the closed form.
+Oracle discipline: the production path (a streaming sorted merge of the
+differences) is checked against the dict-based representation counts and
+against brute-force enumeration from the definition, which in turn is checked
+against the most literal quadruple loop on tiny sets; progressions are
+additionally checked against the closed form.
 """
 
 import random
@@ -55,7 +56,7 @@ def test_frozen_rep_counts():
 
 
 def test_ap_closed_form_and_translation_dilation_invariance():
-    for k in (1, 2, 3, 7, 25, 50):
+    for k in (1, 2, 3, 7, 25, 50, 79):
         expected = ap_energy_closed_form(k)
         assert additive_energy(range(1, k + 1)) == expected
         assert additive_energy(range(100, 100 + 5 * k, 5)) == expected
@@ -110,7 +111,7 @@ def test_energy_matches_bruteforce():
     for _ in range(60):
         a = random_set(rng, 40)
         expected = additive_energy_bruteforce(a)
-        assert additive_energy(a, method="hash") == expected
+        assert additive_energy(a) == expected
         assert energy_from_reps(rep_counts(a)) == expected
 
 
@@ -118,10 +119,16 @@ def test_sorted_method_agrees():
     rng = random.Random(977)
     for _ in range(30):
         a = random_set(rng, 60)
-        assert additive_energy(a, method="sorted") == additive_energy(a, method="hash")
+        expected = energy_from_reps(rep_counts(a))
+        assert additive_energy(a) == expected
+        assert additive_energy_bruteforce(a) == expected
     big = [rng.getrandbits(200) | (1 << 200) for _ in range(50)]
     big = sorted(set(big))
-    assert additive_energy(big, method="sorted") == additive_energy(big, method="hash")
+    expected = energy_from_reps(rep_counts(big))
+    assert additive_energy(big, method="sorted") == expected
+    assert additive_energy_bruteforce(big) == expected
+    with pytest.raises(ValueError):
+        additive_energy(big, method="hash")
 
 
 def test_bruteforce_cap():
@@ -139,12 +146,14 @@ def test_energy_bounds():
 
 
 def test_auto_method_switch():
-    # tiny threshold forces the sorted path; result must not change
+    # the route switch is gone: "auto" and its threshold are refused, and the
+    # one route gives the closed form on the progression the switch was tested on
     a = list(range(1, 80))
-    assert (
-        additive_energy(a, method="auto", max_hash_pairs=10)
-        == ap_energy_closed_form(79)
-    )
+    assert additive_energy(a) == ap_energy_closed_form(79)
+    with pytest.raises(ValueError):
+        additive_energy(a, method="auto")
+    with pytest.raises(TypeError):
+        additive_energy(a, max_hash_pairs=10)
 
 
 # -- convolution cross-check --------------------------------------------------------
@@ -204,3 +213,7 @@ def test_energy_scaling_validation_and_budget():
         energy_scaling(seq, levels=[7])
     with pytest.raises(BudgetError):
         energy_scaling(seq, levels=[6], max_pairs=10)
+    # the budget is inclusive: exactly sum n^2 pair operations is allowed
+    n = seq.checkpoint(6)
+    (row,) = energy_scaling(seq, levels=[6], max_pairs=n * n).rows
+    assert row.n == n
