@@ -2,6 +2,7 @@
 # additive energy, low cost) interleaved with sparse geometric tails that
 # push the maximum up fast.  beta controls the run lengths, gamma the tails.
 
+import os
 import tempfile
 
 from ppclab import GrowthFunction, build_blocks, max_element_bits, read_sequence, write_sequence
@@ -24,9 +25,9 @@ print("\nrun lengths:", [seq.a_block(j).length for j in range(1, 9)])
 
 # round-trip through the on-disk format (decimal per line, '#' metadata);
 # block metadata is verified on read by rebuilding
-with tempfile.NamedTemporaryFile(suffix=".txt", mode="w", delete=False) as fh:
-    path = fh.name
-write_sequence(path, seq)
-elements, meta = read_sequence(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "blocks.txt")
+    write_sequence(path, seq)
+    elements, meta = read_sequence(path)
 assert elements == seq.elements
 print("\nround-trip ok; metadata:", meta)

@@ -7,7 +7,7 @@ the config hash, so identical config + seed reruns produce byte-identical
 CSVs (manifests may differ in their timestamp only).
 
 Exit codes: 0 success, 2 config error, 3 precondition error, 4 budget
-refusal.  The PPCLAB_THREADS environment variable caps worker parallelism.
+refusal.
 """
 
 from __future__ import annotations
@@ -515,14 +515,6 @@ def _run_probe(p: dict[str, object], ctx: RunContext) -> None:
     ctx.finish(notes=notes)
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("PPCLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"PPCLAB_THREADS must be an integer, got {raw!r}") from None
-
-
 def _run_mc(p: dict[str, object], ctx: RunContext) -> None:
     seq = _load_sequence(p)
     schedule, s_values = p["mc.schedule"], p["mc.s"]
@@ -539,7 +531,6 @@ def _run_mc(p: dict[str, object], ctx: RunContext) -> None:
         schedule=schedule,
         s_values=s_values,
         delta=p["mc.delta"],
-        max_workers=_workers_from_env(),
     )
     rows = [
         (row.trial, p["mc.seed"], row.n, row.s, _fmt_float(row.r))

@@ -13,10 +13,15 @@ exact fraction.  A fixed-point mode exists for speed with certified error
 bounds; comparisons that fall inside its guard window raise instead of
 guessing.
 
-Three routes compute the same number and are kept independent: a sorted
-two-pointer sweep (production), the literal quadratic loop (oracle), and a
+Three routes compute the same number and are kept independent: a sweep over
+the sorted residues (production), the literal quadratic loop (oracle), and a
 sum over representation counts of the difference set (connects the statistic
-to additive energy).
+to additive energy).  The production sweep picks its arithmetic from the
+residue modulus q alone: for q <= 2**64 (the dyadic Monte Carlo dilations
+k/2**64, fixed point with at most 64 bits, and the rationals of the regular
+system) the residues are a numpy uint64 array, sorted by ``np.sort`` and
+counted by ``np.searchsorted``; for larger q they are Python ints, counted
+by a two-pointer sweep.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .growth import GrowthFunction, ThetaFunction, psi
 from .energy import rep_counts
@@ -138,24 +145,45 @@ def frac_mult(alpha: Alpha, a: int) -> Fraction:
     same computation with denominator 2**bits and a certified error below
     2**-guard, enforced via the width precondition.
     """
-    a = int(a)
+    (r,), q = _residues(alpha, [int(a)])
+    return Fraction(r, q)
+
+
+def _dilation(alpha: Alpha, elements: Sequence[int]) -> tuple[int, int]:
+    """p and q with alpha = p/q, once every element passes the fixed-point
+    width precondition."""
     if alpha.mode == "rational":
-        q = alpha.den
-        return Fraction((alpha.num * (a % q)) % q, q)
-    _fixed_width_check(alpha, abs(a))
-    q = 1 << alpha.bits
-    return Fraction((alpha.mantissa * (a % q)) % q, q)
+        return alpha.num, alpha.den
+    for x in elements:
+        _fixed_width_check(alpha, abs(int(x)))
+    return alpha.mantissa, 1 << alpha.bits
 
 
 def _residues(alpha: Alpha, elements: Sequence[int]) -> tuple[list[int], int]:
-    if alpha.mode == "rational":
-        q, p = alpha.den, alpha.num
-        return [(p * (x % q)) % q for x in elements], q
-    for x in elements:
-        _fixed_width_check(alpha, abs(int(x)))
-    q = 1 << alpha.bits
-    v = alpha.mantissa
-    return [(v * (x % q)) % q for x in elements], q
+    """The residues p * x mod q of alpha = p/q, one per element, and q."""
+    p, q = _dilation(alpha, elements)
+    return [(p * (x % q)) % q for x in elements], q
+
+
+# residue moduli up to this size take the uint64 sweep
+_U64_MODULUS = 1 << 64
+
+
+def _residues_u64(alpha: Alpha, elements: Sequence[int]) -> tuple[np.ndarray, int]:
+    """:func:`_residues` as a uint64 array, for q <= 2**64."""
+    if alpha.denominator & (alpha.denominator - 1):  # not a power of two
+        res, q = _residues(alpha, elements)
+        return np.array(res, dtype=np.uint64), q
+    # q divides 2**64, so the product may wrap mod 2**64 before the mask
+    p, q = _dilation(alpha, elements)
+    mask = q - 1
+    try:  # elements in [0, 2**64) convert as they are
+        res = np.fromiter(elements, dtype=np.uint64, count=len(elements))
+    except OverflowError:
+        res = np.array([x & mask for x in elements], dtype=np.uint64)
+    res *= np.uint64(p)
+    res &= np.uint64(mask)
+    return res, q
 
 
 def _count_within(sorted_res: list[int], q: int, limit: int) -> int:
@@ -177,6 +205,29 @@ def _count_within(sorted_res: list[int], q: int, limit: int) -> int:
     return count
 
 
+def _count_within_u64(sorted_res: np.ndarray, q: int, limit: int) -> int:
+    """:func:`_count_within` for sorted uint64 residues and q <= 2**64.
+
+    The residues r_i >= q - limit form a suffix; each of them pairs with
+    every later residue and with the wrapped ones r_j <= r_i + limit - q.
+    Every other r_i pairs with the later r_j <= r_i + limit, and there
+    r_i + limit < q, so no uint64 sum overflows.
+    """
+    n = len(sorted_res)
+    if limit < 0:
+        return 0
+    top = q - limit
+    if top == _U64_MODULUS:  # q = 2**64 and limit = 0: no residue wraps
+        split, wrapped = n, 0
+    else:
+        split = int(np.searchsorted(sorted_res, np.uint64(top)))
+        tail = sorted_res[split:] - np.uint64(top)
+        wrapped = int(np.searchsorted(sorted_res, tail, side="right").sum())
+    direct = np.searchsorted(sorted_res, sorted_res[:split] + np.uint64(limit), side="right")
+    m = n - split
+    return int(direct.sum()) - split * (split + 1) // 2 + m * (m - 1) // 2 + wrapped
+
+
 def _prepare(seq: SequenceLike, n: int, s: SLike) -> tuple[Sequence[int], Fraction]:
     s = Fraction(s)
     if s < 0:
@@ -191,19 +242,27 @@ def pair_correlation(seq: SequenceLike, alpha: Alpha, n: int, s: SLike) -> Fract
 
     Counts ordered index pairs i != j with circle distance at most s/n
     between the dilated points (closed threshold), scaled by 1/n.  Runs in
-    O(n log n) via sorting; in fixed-point mode a comparison landing inside
-    the guard window raises :class:`PrecisionError`.
+    O(n log n) via sorting the residues p * a mod q of alpha = p/q: when
+    q <= 2**64 they are a uint64 array counted with ``np.searchsorted``,
+    otherwise a list of Python ints counted by a two-pointer sweep.  In
+    fixed-point mode a comparison landing inside the guard window raises
+    :class:`PrecisionError`.
     """
     elements, s = _prepare(seq, n, s)
     if 2 * s >= n:  # the window covers the whole circle
         return Fraction(n - 1)
-    res, q = _residues(alpha, elements)
+    if alpha.denominator <= _U64_MODULUS:
+        res, q = _residues_u64(alpha, elements)
+        count_within = _count_within_u64
+    else:
+        res, q = _residues(alpha, elements)
+        count_within = _count_within
     res.sort()
     # threshold in residue units: distance/q <= s/n  <=>  distance <= q*s/n
     t_num, t_den = q * s.numerator, s.denominator * n
     limit = t_num // t_den
     if alpha.mode == "rational":
-        return Fraction(2 * _count_within(res, q, limit), n)
+        return Fraction(2 * count_within(res, q, limit), n)
     # fixed point: residues carry up to 2**(bits-guard) units of error each,
     # so distances are uncertain within a window of twice that
     window = 1 << (alpha.bits - alpha.guard + 1)
@@ -211,8 +270,8 @@ def pair_correlation(seq: SequenceLike, alpha: Alpha, n: int, s: SLike) -> Fract
     high = (t_num + window * t_den) // t_den
     if 2 * high >= q:
         raise PrecisionError("guard window reaches half the circle; use rational mode")
-    c_low = _count_within(res, q, low)
-    c_high = _count_within(res, q, high)
+    c_low = count_within(res, q, low)
+    c_high = count_within(res, q, high)
     if c_low != c_high:
         raise PrecisionError(
             f"{c_high - c_low} pair(s) within the precision guard of the "
@@ -451,7 +510,6 @@ def monte_carlo_ppc(
     schedule: Sequence[int],
     s_values: Sequence[SLike],
     delta: float = 0.5,
-    max_workers: int = 1,
 ) -> MonteCarloResult:
     """Sample the statistic at random dyadic dilations k/2**64 (k odd).
 
@@ -472,24 +530,16 @@ def monte_carlo_ppc(
             f"{len(elements)} elements"
         )
 
-    def run_trial(trial: int) -> list[MonteCarloRow]:
+    rows = []
+    for trial in range(trials):
         alpha = _trial_alpha(seed, trial)
-        return [
+        rows += [
             MonteCarloRow(trial=trial, alpha=alpha, n=n, s=s,
                           r=pair_correlation(elements, alpha, n, s))
             for n in schedule
             for s in s_fracs
         ]
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            chunks = list(pool.map(run_trial, range(trials)))
-    else:
-        chunks = [run_trial(t) for t in range(trials)]
-    rows = tuple(row for chunk in chunks for row in chunk)
-    return MonteCarloResult(rows=rows, delta=delta)
+    return MonteCarloResult(rows=tuple(rows), delta=delta)
 
 
 # -- prime-denominator baseline dilations --------------------------------------------

@@ -100,7 +100,7 @@ def test_criterion_04_pair_correlation_three_routes():
         assert r == pair_correlation_naive(elements, alpha, n, s)
         assert r == pair_correlation_via_reps(elements, alpha, n, s)
     elapsed = time.monotonic() - start
-    report(4, f"two-pointer == naive == representation-sum on 200 random "
+    report(4, f"sorted sweep == naive == representation-sum on 200 random "
               f"instances with N ≤ 500 ({elapsed:.0f} s)")
 
 

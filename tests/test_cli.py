@@ -135,16 +135,6 @@ def test_mc_determinism_and_manifest_hash(tmp_path):
     assert manifest["output"]["sha256"] == hashlib.sha256(first).hexdigest()
 
 
-def test_mc_threads_do_not_change_bytes(tmp_path, monkeypatch):
-    args = ("mc", "--family", "power", "--seq-n", 300, "--trials", 4,
-            "--schedule", 300, "--seed", 7)
-    monkeypatch.setenv("PPCLAB_THREADS", "3")
-    run_cli(*args, "--csv", tmp_path / "t3.csv")
-    monkeypatch.setenv("PPCLAB_THREADS", "1")
-    run_cli(*args, "--csv", tmp_path / "t1.csv")
-    assert (tmp_path / "t3.csv").read_bytes() == (tmp_path / "t1.csv").read_bytes()
-
-
 def test_corollary_table_level_one_row(tmp_path):
     csv = tmp_path / "cor.csv"
     assert run_cli("corollary-table", "--r", 1, "--jmax", 1, "--csv", csv) == 0

@@ -1,4 +1,5 @@
-"""Every walkthrough script in demos/ runs to completion.
+"""Every walkthrough script in demos/ runs to completion and leaves no
+file behind.
 
 The demos assert their own printed facts (closed forms, oracle agreement,
 file round-trips), so a zero exit status means those still hold.
@@ -25,9 +26,10 @@ def test_demo_exits_zero(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    env["TMPDIR"] = str(tmp_path)  # temporary files the demos leave behind
+    env["TMPDIR"] = str(tmp_path)
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert not any(tmp_path.iterdir()), "the demo left files behind"

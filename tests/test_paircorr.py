@@ -172,6 +172,56 @@ def test_fast_equals_naive_with_dyadic_denominator():
         )
 
 
+@pytest.mark.parametrize("q", [(1 << 64) - 59, 1 << 64])
+def test_uint64_sweep_at_the_top_of_the_range(q):
+    # with alpha = 1/q the residues are the elements mod q; near the top of
+    # the uint64 range r + limit passes 2**64 for the largest limit below q/2
+    alpha = Alpha.rational(1, q)
+    elements = [0, 1, q // 2, q - 2, 2 * q - 1, 3 * q - 1]
+    n = len(elements)
+    for limit in (0, 1, q // 2 - 2, (q - 1) // 2):
+        s = Fraction(limit * n, q)
+        assert pair_correlation(elements, alpha, n, s) == pair_correlation_naive(
+            elements, alpha, n, s
+        ), limit
+
+
+@pytest.mark.parametrize("q_bits", [65, 128, 300])
+def test_wide_denominator_sweep_matches_naive(q_bits):
+    # q > 2**64 takes the Python-int sweep
+    rng = random.Random(q_bits)
+    q = (1 << (q_bits - 1)) | rng.getrandbits(q_bits - 1) | 1
+    alpha = Alpha.rational(rng.randrange(1, q), q)
+    elements = sorted({rng.getrandbits(q_bits + 8) for _ in range(80)})
+    n = len(elements)
+    for s in (0, Fraction(1, 2), 1, 3, Fraction(n * (q // 2), q)):
+        assert pair_correlation(elements, alpha, n, s) == pair_correlation_naive(
+            elements, alpha, n, s
+        ), s
+    # multiples of q share residue 0 and pairs straddle 0 = 1 on the circle
+    p_inv = pow(alpha.num, -1, q)
+    wrapped = sorted({0, q, 3 * q, p_inv, (q - 1) * p_inv, q + (q - 2) * p_inv})
+    for s in (0, 1, 2):
+        assert pair_correlation(wrapped, alpha, 6, s) == pair_correlation_naive(
+            wrapped, alpha, 6, s
+        ), s
+
+
+def test_wide_fixed_point_matches_rational():
+    # bits > 64 keeps the fixed-point residues on the Python-int sweep
+    rng = random.Random(128)
+    bits, guard = 128, 64
+    fixed = Alpha.fixed(rng.getrandbits(bits) | 1, bits, guard)
+    exact = Alpha.rational(fixed.mantissa, 1 << bits)
+    elements = sorted(rng.sample(range(1, 1 << 40), 200))
+    for s in (Fraction(1, 2), 1, 3):
+        r = pair_correlation(elements, fixed, 200, s)
+        assert r == pair_correlation(elements, exact, 200, s), s
+        assert r == pair_correlation_naive(elements, exact, 200, s), s
+    with pytest.raises(PrecisionError):  # 66 bits + 64 guard > 128
+        pair_correlation([1, 1 << 65], fixed, 2, 0)
+
+
 # -- fixed point end to end --------------------------------------------------------
 
 
@@ -344,14 +394,6 @@ def test_monte_carlo_accessors_and_validation():
         monte_carlo_ppc(seq, seed=1, trials=2, schedule=[81], s_values=[1])
     with pytest.raises(ValueError):
         monte_carlo_ppc(seq, seed=1, trials=2, schedule=[], s_values=[1])
-
-
-def test_monte_carlo_threads_match_serial():
-    seq = classic("power", 120, 2)
-    kwargs = dict(seed=5, trials=6, schedule=[60, 120], s_values=[1])
-    serial = monte_carlo_ppc(seq, max_workers=1, **kwargs)
-    threaded = monte_carlo_ppc(seq, max_workers=4, **kwargs)
-    assert serial.rows == threaded.rows
 
 
 # -- primality and baseline dilations ------------------------------------------------
