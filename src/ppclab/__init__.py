@@ -3,8 +3,9 @@ sequences, with interval-arithmetic probes of exceptional dilations.
 
 The pieces, bottom up:
 
-- :mod:`ppclab.intervals` — exact rational interval sets on [0, 1]; Bohr
-  sets, small-denominator neighborhoods, the Borel-Cantelli overlap ratio.
+- :mod:`ppclab.intervals` — exact rational interval sets on [0, 1], stored
+  as integer endpoints over one common denominator; Bohr sets,
+  small-denominator neighborhoods, the Borel-Cantelli overlap ratio.
 - :mod:`ppclab.growth` — slowly growing regularity functions, their
   admissibility clamps, series partial sums, predicted Hausdorff dimension.
 - :mod:`ppclab.sequences` — the two-block (consecutive-run + shifted powers

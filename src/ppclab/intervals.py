@@ -1,25 +1,37 @@
 """Exact arithmetic on finite unions of closed subintervals of [0, 1].
 
-All endpoints are `fractions.Fraction`; no floats enter or leave this module.
-The central object is :class:`IntervalSet`, kept in a canonical normal form
-(sorted, pairwise disjoint, touching components merged, zero-length components
-dropped) so that equality of sets is plain structural equality.
+An :class:`IntervalSet` stores its components as integer numerator pairs
+``(lo, hi)`` over one common denominator ``den``, each pair standing for
+[lo/den, hi/den].  The pairs are kept in a canonical normal form (sorted,
+pairwise disjoint, touching components merged, zero-length components
+dropped, ``den`` reduced by its gcd with every endpoint) so that equality of
+sets is plain structural equality, and every operation is a sort and sweep
+over integers: ``union`` and ``intersect`` first scale both operands to the
+lcm of their denominators.  At the boundary the module stays Fraction-facing:
+:class:`Interval`, ``.intervals``, iteration and the file format (unchanged)
+give `fractions.Fraction` endpoints, and no floats enter or leave it.
 
 On top of the set algebra there are the two measure-theoretic gadgets the
 experiments need: Bohr sets of a single frequency, and the union of Bohr sets
 over a difference set, plus the ratio used in second-moment (Borel-Cantelli
-type) lower bounds.
+type) lower bounds.  Both Bohr constructions refuse with ``BudgetError``,
+before building anything, when they would materialize more than
+``MAX_BOHR_PIECES`` intervals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence, Union
+
+from .sequences import BudgetError
 
 __all__ = [
     "Interval",
     "IntervalSet",
+    "MAX_BOHR_PIECES",
     "bohr_set",
     "small_denominator_set",
     "borel_cantelli_ratio",
@@ -28,9 +40,14 @@ __all__ = [
 ]
 
 RationalLike = Union[Fraction, int, str]
+Pair = tuple[int, int]  # (lo, hi) numerators over a set's denominator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Most intervals one bohr_set or small_denominator_set call may build
+# (|d| + 1 per frequency d); larger requests are refused up front.
+MAX_BOHR_PIECES = 1 << 24
 
 
 def _frac(x: RationalLike) -> Fraction:
@@ -63,32 +80,62 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
+def _canonical(den: int, pairs: Iterable[Pair]) -> tuple[int, tuple[Pair, ...]]:
+    """The normal form of the pairs over ``den``: zero-length pairs dropped,
+    the rest sorted with overlapping or touching pairs merged, then ``den``
+    and every endpoint divided by their common gcd."""
+    out: list[Pair] = []
+    end = -1  # right end of the last component; endpoints are >= 0
+    for lo, hi in sorted(p for p in pairs if p[0] < p[1]):
+        if lo > end:
+            out.append((lo, hi))
+            end = hi
+        elif hi > end:
+            # overlap or touch: extend the previous component
+            out[-1] = (out[-1][0], hi)
+            end = hi
+    g = den
+    for lo, hi in out:
+        if g == 1:
+            break
+        g = gcd(g, lo, hi)
+    if g > 1:
+        den //= g
+        out = [(lo // g, hi // g) for lo, hi in out]
+    return den, tuple(out)
+
+
+def _scaled(pairs: tuple[Pair, ...], m: int) -> Sequence[Pair]:
+    return pairs if m == 1 else [(lo * m, hi * m) for lo, hi in pairs]
+
+
 class IntervalSet:
     """A finite union of closed subintervals of [0,1], in canonical form.
 
     Canonical form: components sorted by left endpoint, pairwise disjoint,
     with touching components merged and degenerate (single point) components
-    dropped.  Dropping points keeps equality canonical and never changes the
-    measure.
+    dropped, stored as integer pairs over the smallest common denominator.
+    Dropping points keeps equality canonical and never changes the measure.
     """
 
-    __slots__ = ("_ivals",)
+    __slots__ = ("_den", "_pairs")
 
     def __init__(self, intervals: Iterable[Interval] = ()) -> None:
-        self._ivals: tuple[Interval, ...] = self._normalize(intervals)
+        ivals = list(intervals)
+        den = lcm(*(x.denominator for iv in ivals for x in (iv.lo, iv.hi)))
+        pairs = [
+            (iv.lo.numerator * (den // iv.lo.denominator),
+             iv.hi.numerator * (den // iv.hi.denominator))
+            for iv in ivals
+        ]
+        self._den, self._pairs = _canonical(den, pairs)
 
-    @staticmethod
-    def _normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
-        ivals = sorted(intervals)
-        out: list[Interval] = []
-        for iv in ivals:
-            if out and iv.lo <= out[-1].hi:
-                # overlap or touch: merge into the previous component
-                if iv.hi > out[-1].hi:
-                    out[-1] = Interval(out[-1].lo, iv.hi)
-            else:
-                out.append(iv)
-        return tuple(iv for iv in out if iv.length > 0)
+    @classmethod
+    def _from_pairs_over(cls, den: int, pairs: Iterable[Pair]) -> "IntervalSet":
+        """The set of [lo/den, hi/den] over integer pairs with 0 <= lo, hi <= den."""
+        s = cls.__new__(cls)
+        s._den, s._pairs = _canonical(den, pairs)
+        return s
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[RationalLike, RationalLike]]) -> "IntervalSet":
@@ -96,81 +143,103 @@ class IntervalSet:
 
     @classmethod
     def full(cls) -> "IntervalSet":
-        return cls((Interval(ZERO, ONE),))
+        return cls._from_pairs_over(1, [(0, 1)])
 
     @classmethod
     def empty(cls) -> "IntervalSet":
-        return cls()
+        return cls._from_pairs_over(1, [])
 
     # -- container protocol ------------------------------------------------
 
     @property
     def intervals(self) -> tuple[Interval, ...]:
-        return self._ivals
+        den = self._den
+        return tuple(Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in self._pairs)
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self._ivals)
+        return iter(self.intervals)
 
     def __len__(self) -> int:
-        return len(self._ivals)
+        return len(self._pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return self._ivals == other._ivals
+        return self._den == other._den and self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return hash(self._ivals)
+        return hash((self._den, self._pairs))
 
     def __repr__(self) -> str:
-        body = " u ".join(f"[{iv.lo}, {iv.hi}]" for iv in self._ivals)
+        body = " u ".join(f"[{iv.lo}, {iv.hi}]" for iv in self)
         return f"IntervalSet({body or 'empty'})"
 
     def __contains__(self, x: RationalLike) -> bool:
         x = _frac(x)
-        return any(x in iv for iv in self._ivals)
+        # lo/den <= x.num/x.den <= hi/den, cross-multiplied
+        num, d = x.numerator * self._den, x.denominator
+        return any(lo * d <= num <= hi * d for lo, hi in self._pairs)
 
     # -- set algebra ---------------------------------------------------------
 
     @property
     def measure(self) -> Fraction:
-        return sum((iv.length for iv in self._ivals), ZERO)
+        return Fraction(sum(hi - lo for lo, hi in self._pairs), self._den)
+
+    def _common(self, other: "IntervalSet") -> tuple[int, Sequence[Pair], Sequence[Pair]]:
+        """Both pair lists over the lcm of the two denominators."""
+        den = lcm(self._den, other._den)
+        return den, _scaled(self._pairs, den // self._den), _scaled(other._pairs, den // other._den)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self._ivals + other._ivals)
+        den, a, b = self._common(other)
+        return IntervalSet._from_pairs_over(den, [*a, *b])
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         # Two-pointer sweep over the sorted component lists.
-        out: list[Interval] = []
-        a, b = self._ivals, other._ivals
+        den, a, b = self._common(other)
+        out: list[Pair] = []
         i = j = 0
         while i < len(a) and j < len(b):
-            lo = max(a[i].lo, b[j].lo)
-            hi = min(a[i].hi, b[j].hi)
-            if lo <= hi:
-                # degenerate overlaps are produced here and dropped by
-                # normalization; they carry no measure either way
-                out.append(Interval(lo, hi))
-            if a[i].hi < b[j].hi:
+            (a_lo, a_hi), (b_lo, b_hi) = a[i], b[j]
+            # empty (lo > hi) and single-point overlaps are dropped by
+            # normalization; they carry no measure either way
+            out.append((max(a_lo, b_lo), min(a_hi, b_hi)))
+            if a_hi < b_hi:
                 i += 1
             else:
                 j += 1
-        return IntervalSet(out)
+        return IntervalSet._from_pairs_over(den, out)
 
     def complement(self) -> "IntervalSet":
         """The closure of [0,1] minus this set (complement within [0,1])."""
-        out: list[Interval] = []
-        cursor = ZERO
-        for iv in self._ivals:
-            if iv.lo > cursor:
-                out.append(Interval(cursor, iv.lo))
-            cursor = iv.hi
-        if cursor < ONE:
-            out.append(Interval(cursor, ONE))
-        return IntervalSet(out)
+        out: list[Pair] = []  # zero-length gaps are dropped by normalization
+        cursor = 0
+        for lo, hi in self._pairs:
+            out.append((cursor, lo))
+            cursor = hi
+        out.append((cursor, self._den))
+        return IntervalSet._from_pairs_over(self._den, out)
 
     __or__ = union
     __and__ = intersect
+
+
+def _check_pieces(pieces: int) -> None:
+    if pieces > MAX_BOHR_PIECES:
+        raise BudgetError(
+            f"{pieces} Bohr intervals requested, over the budget of {MAX_BOHR_PIECES}"
+        )
+
+
+def _bohr_pairs(q: int, delta: Fraction, m: int) -> list[Pair]:
+    """The pieces of bohr_set(q, delta) as numerator pairs over
+    q * delta.denominator * m: the centre k/q sits at k * delta.denominator * m
+    and the radius delta/q is delta.numerator * m, clipped to [0, 1]."""
+    step = delta.denominator * m
+    r = delta.numerator * m
+    top = q * step
+    return [(max(0, c - r), min(top, c + r)) for c in range(0, top + 1, step)]
 
 
 def bohr_set(d: int, delta: RationalLike) -> IntervalSet:
@@ -179,7 +248,8 @@ def bohr_set(d: int, delta: RationalLike) -> IntervalSet:
 
     Requires d != 0 and 0 <= delta <= 1/2.  The result is the union of
     |d| + 1 closed intervals centred on the rationals k/|d| (clipped at the
-    ends), and its measure is exactly min(1, 2*delta).
+    ends), and its measure is exactly min(1, 2*delta).  Raises BudgetError
+    when |d| + 1 exceeds MAX_BOHR_PIECES.
     """
     if d == 0:
         raise ValueError("frequency d must be nonzero")
@@ -187,12 +257,8 @@ def bohr_set(d: int, delta: RationalLike) -> IntervalSet:
     if not (ZERO <= delta <= Fraction(1, 2)):
         raise ValueError(f"delta must lie in [0, 1/2], got {delta}")
     q = abs(d)
-    radius = delta / q
-    pieces = []
-    for k in range(q + 1):
-        center = Fraction(k, q)
-        pieces.append(Interval(max(ZERO, center - radius), min(ONE, center + radius)))
-    return IntervalSet(pieces)
+    _check_pieces(q + 1)
+    return IntervalSet._from_pairs_over(q * delta.denominator, _bohr_pairs(q, delta, 1))
 
 
 def small_denominator_set(b_set: Iterable[int], eps: RationalLike) -> IntervalSet:
@@ -201,7 +267,8 @@ def small_denominator_set(b_set: Iterable[int], eps: RationalLike) -> IntervalSe
 
     The measure of the result is strictly less than 2*eps: the difference set
     contains 0, so there are fewer than #(B - B) nonzero frequencies, each
-    contributing a Bohr set of measure 2*eps/#(B - B).
+    contributing a Bohr set of measure 2*eps/#(B - B).  Raises BudgetError
+    when the sum of |d| + 1 over the frequencies exceeds MAX_BOHR_PIECES.
     """
     b = set(b_set)
     if len(b) < 2:
@@ -213,10 +280,15 @@ def small_denominator_set(b_set: Iterable[int], eps: RationalLike) -> IntervalSe
     radius = eps / len(diffs)
     # d and -d give the same Bohr set, so only the positive representatives
     # are materialized; the union is unchanged.
-    out = IntervalSet.empty()
-    for d in sorted({abs(d) for d in diffs if d != 0}):
-        out = out.union(bohr_set(d, radius))
-    return out
+    freqs = sorted({abs(d) for d in diffs if d != 0})
+    _check_pieces(sum(d + 1 for d in freqs))
+    # every piece goes over one denominator, lcm(freqs) * radius.denominator,
+    # and the whole union is normalized once
+    step_den = lcm(*freqs)
+    pairs: list[Pair] = []
+    for d in freqs:
+        pairs.extend(_bohr_pairs(d, radius, step_den // d))
+    return IntervalSet._from_pairs_over(step_den * radius.denominator, pairs)
 
 
 def borel_cantelli_ratio(sets: Sequence[IntervalSet]) -> Fraction:

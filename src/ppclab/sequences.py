@@ -110,16 +110,20 @@ class BlockSequence:
         return self.checkpoints[j - 1]
 
     def a_block(self, j: int) -> Block:
-        for b in self.blocks:
-            if b.level == j and b.kind == "A":
-                return b
-        raise ValueError(f"no A block at level {j}")
+        return self._block(j, "A")
 
     def g_block(self, j: int) -> Block:
-        for b in self.blocks:
-            if b.level == j and b.kind == "G":
-                return b
-        raise ValueError(f"no G block at level {j}")
+        return self._block(j, "G")
+
+    def _block(self, j: int, kind: str) -> Block:
+        # build_blocks appends the A block and then the G block of every
+        # level, so level j sits at blocks[2(j-1)] and blocks[2(j-1) + 1]
+        if not (1 <= j <= self.params.j_max):
+            raise ValueError(f"no {kind} block at level {j}")
+        b = self.blocks[2 * (j - 1) + (kind == "G")]
+        if b.level != j or b.kind != kind:  # defensive: the layout above
+            raise AssertionError(f"block layout broken at level {j}: found {b}")
+        return b
 
     def block_values(self, block: Block) -> list[int]:
         """The block's members in increasing order (resolving shared storage)."""

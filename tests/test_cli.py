@@ -209,8 +209,10 @@ def test_budget_refusals_exit_4(tmp_path, capsys):
     path = tmp_path / "trivial3.txt"
     path.write_text("1\n2\n3\n")
     assert run_cli("energy", "--seq", path, "--max-pairs", 8) == 4
+    # 10^9 + 1 Bohr intervals, over MAX_BOHR_PIECES = 2^24: refused before any is built
+    assert run_cli("bohr", "--d", 10**9, "--delta", "1/4") == 4
     err = capsys.readouterr().err
-    assert err.count("budget refusal") == 4
+    assert err.count("budget refusal") == 5
     assert run_cli("energy", "--seq", path, "--max-pairs", 9) == 0
     assert "E = 19" in capsys.readouterr().out
 

@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import pytest
 
+from ppclab import intervals
 from ppclab.intervals import (
+    MAX_BOHR_PIECES,
     Interval,
     IntervalSet,
     bohr_set,
@@ -21,6 +23,7 @@ from ppclab.intervals import (
     interval_set_to_lines,
     small_denominator_set,
 )
+from ppclab.sequences import BudgetError
 
 
 def dist_to_nearest_int(x: Fraction) -> Fraction:
@@ -65,6 +68,43 @@ def test_normalization_merges_and_drops():
     assert s == IntervalSet.from_pairs([("0", "3/4")])
     assert len(s) == 1
     assert s.measure == Fraction(3, 4)
+
+
+def test_canonical_form_across_denominators():
+    # equal sets built through different denominators are equal and hash equal
+    pairs = [
+        (IntervalSet.from_pairs([("1/2", "3/4")]), IntervalSet.from_pairs([("2/4", "6/8")])),
+        # the merged union [0, 2/4] must be reduced to [0, 1/2]
+        (IntervalSet.from_pairs([(0, "1/4")]) | IntervalSet.from_pairs([("1/4", "1/2")]),
+         IntervalSet.from_pairs([(0, "1/2")])),
+        # the overlap [2/6, 4/6] must be reduced to [1/3, 2/3]
+        (IntervalSet.from_pairs([("1/6", "2/3")]) & IntervalSet.from_pairs([("1/3", "5/6")]),
+         IntervalSet.from_pairs([("1/3", "2/3")])),
+        (IntervalSet.from_pairs([("1/3", "2/3")]).complement().complement(),
+         IntervalSet.from_pairs([("2/6", "4/6")])),
+    ]
+    for lhs, rhs in pairs:
+        assert lhs == rhs and hash(lhs) == hash(rhs)
+        assert lhs.intervals == rhs.intervals
+
+    mixed = bohr_set(2, Fraction(1, 8)) | bohr_set(4, Fraction(1, 16))
+    expected = [(0, "1/16"), ("15/64", "17/64"), ("7/16", "9/16"),
+                ("47/64", "49/64"), ("15/16", 1)]
+    built = IntervalSet.from_pairs(expected)
+    assert mixed == built and hash(mixed) == hash(built)
+    assert IntervalSet(mixed.intervals) == mixed
+    assert mixed.measure == Fraction(5, 16)
+
+
+def test_lines_in_lowest_terms_after_mixed_union():
+    whole = (IntervalSet.from_pairs([(0, "1/3")]) | IntervalSet.from_pairs([("1/3", "1/2")])
+             | IntervalSet.from_pairs([("2/4", "7/7")]))
+    assert whole == IntervalSet.full()
+    assert interval_set_to_lines(whole) == ["0/1 1/1"]
+    mixed = bohr_set(2, Fraction(1, 8)) | bohr_set(4, Fraction(1, 16))
+    assert interval_set_to_lines(mixed) == [
+        "0/1 1/16", "15/64 17/64", "7/16 9/16", "47/64 49/64", "15/16 1/1",
+    ]
 
 
 def test_empty_and_full():
@@ -165,6 +205,24 @@ def test_bohr_set_membership_oracle():
                 assert not in_set
             else:
                 assert in_set == expected, (d, delta, x)
+
+
+def test_bohr_piece_budget(monkeypatch):
+    with pytest.raises(BudgetError):
+        bohr_set(10**9, Fraction(1, 4))
+    with pytest.raises(BudgetError):
+        small_denominator_set({0, MAX_BOHR_PIECES}, Fraction(1, 2))
+    # the budget counts |d| + 1 pieces per frequency, refusing one past it
+    monkeypatch.setattr(intervals, "MAX_BOHR_PIECES", 5)
+    assert len(bohr_set(4, Fraction(1, 16))) == 5
+    with pytest.raises(BudgetError):
+        bohr_set(5, Fraction(1, 16))
+    # {0, 1, 3}: frequencies 1, 2, 3 make 2 + 3 + 4 = 9 pieces
+    monkeypatch.setattr(intervals, "MAX_BOHR_PIECES", 9)
+    small_denominator_set({0, 1, 3}, Fraction(1, 2))
+    monkeypatch.setattr(intervals, "MAX_BOHR_PIECES", 8)
+    with pytest.raises(BudgetError):
+        small_denominator_set({0, 1, 3}, Fraction(1, 2))
 
 
 def test_bohr_set_edge_cases():

@@ -56,6 +56,20 @@ def test_block_lengths_match_formulas_j12():
         assert seq.g_block(j).length == lg, f"G length at level {j}"
 
 
+def test_block_lookup_by_level():
+    seq = build_blocks(ILOG1, 2 / 3, 1 / 3, 9)
+    for j in range(1, 10):
+        # the index lookup returns the block a scan by (level, kind) finds
+        for kind, lookup in (("A", seq.a_block), ("G", seq.g_block)):
+            found = [b for b in seq.blocks if b.level == j and b.kind == kind]
+            assert [lookup(j)] == found
+    for j in (0, -1, 10):
+        with pytest.raises(ValueError):
+            seq.a_block(j)
+        with pytest.raises(ValueError):
+            seq.g_block(j)
+
+
 def test_structure_runs_and_powers():
     seq = build_blocks(ILOG1, 2 / 3, 1 / 3, 10)
     elems = seq.elements
