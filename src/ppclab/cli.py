@@ -715,6 +715,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("resource error: out of memory; request a smaller run", file=sys.stderr)
+        return 4
+    except RecursionError:
+        print("precondition error: recursion too deep for this input", file=sys.stderr)
+        return 3
     except (ValueError, PrecisionError, ArithmeticError, OSError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 3

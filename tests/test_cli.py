@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import ppclab.cli
 from ppclab.cli import main
 from ppclab.energy import energy_scaling
 from ppclab.growth import GrowthFunction
@@ -195,6 +196,19 @@ def test_precondition_errors_exit_3(tmp_path, capsys):
     assert run_cli("pc", "--seq", path4, "--alpha", "fixed:16384:16:8",
                    "--s", 1) == 3
     assert "rational mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code", [(MemoryError, 4), (RecursionError, 3)])
+def test_resource_errors_exit_with_one_line(monkeypatch, tmp_path, capsys, error, code):
+    def runner(values, ctx):
+        raise error()
+
+    monkeypatch.setitem(ppclab.cli._RUNNERS, "energy", runner)
+    path = tmp_path / "trivial3.txt"
+    path.write_text("1\n2\n3\n")
+    assert run_cli("energy", "--seq", path) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_budget_refusals_exit_4(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Unit tests for representation counts and additive energy.
 
-Oracle discipline: the production path (a streaming sorted merge of the
-differences) is checked against the dict-based representation counts and
+Oracle discipline: the production path (the pairs keyed by residues of
+their differences, sorted and counted one bounded key range at a time) is
+checked against the dict-based representation counts and
 against brute-force enumeration from the definition, which in turn is checked
 against the most literal quadruple loop on tiny sets; progressions are
 additionally checked against the closed form.
@@ -11,6 +12,7 @@ import random
 
 import pytest
 
+from ppclab import energy
 from ppclab.energy import (
     additive_energy,
     additive_energy_bruteforce,
@@ -129,6 +131,58 @@ def test_sorted_method_agrees():
     assert additive_energy_bruteforce(big) == expected
     with pytest.raises(ValueError):
         additive_energy(big, method="hash")
+
+
+def test_shared_primary_residue_is_confirmed():
+    # 1 and M0 + 1, and 2 and M0 + 2, agree modulo M0, so their pairs share a
+    # key: the confirmation under the further moduli must keep them apart
+    m = energy._M0
+    assert (m + 1) % m == 1 and (m + 2) % m == 2
+    for a in ([0, 1, m, m + 2], [0, 1, m, m + 1], [-m, 0, 1, 2, m, m + 2, 2 * m + 1]):
+        expected = additive_energy_bruteforce(a)
+        assert additive_energy(a) == expected == energy_from_reps(rep_counts(a))
+    # all six differences distinct: 4^2 + 2 * 6
+    assert additive_energy([0, 1, m, m + 2]) == 28
+
+
+def test_pair_cap_splits_key_ranges(monkeypatch):
+    monkeypatch.setattr(energy, "_PAIR_CAP", 16)
+    generated = []
+    count_range = energy._range_square_sum
+
+    def recording(rho, ys, moduli, residues, slices):
+        generated.append(int(slices[1].sum() + slices[3].sum()))
+        return count_range(rho, ys, moduli, residues, slices)
+
+    monkeypatch.setattr(energy, "_range_square_sum", recording)
+    rng = random.Random(8)
+    # a run of 12 and 50 spread elements: 1891 pairs, ranges of at most
+    # max(16, 2n) = 124
+    a = sorted(set(range(500, 512)) | set(rng.sample(range(1 << 20), 50)))
+    n = len(a)
+    assert additive_energy(a) == energy_from_reps(rep_counts(a))
+    assert len(generated) > 1
+    assert max(generated) <= 2 * n
+    assert sum(generated) == n * (n - 1) // 2
+    # every difference of 30 multiples of M0 has key 0: a one-key range over
+    # the cap is counted whole, and its run is split by the confirmation
+    generated.clear()
+    m = energy._M0
+    a = [1] + [k * m for k in range(30)]
+    assert additive_energy(a) == energy_from_reps(rep_counts(a))
+    assert max(generated) == 30 * 29 // 2 > 2 * len(a)
+    # 183 differences of a 200-term progression have more than 16 pairs; with
+    # ranges of up to 2n pairs none is halved sixty-odd times down to its own key
+    ranges = []
+    find_partners = energy._partner_slices
+
+    def counting(rho, lo, hi):
+        ranges.append((lo, hi))
+        return find_partners(rho, lo, hi)
+
+    monkeypatch.setattr(energy, "_partner_slices", counting)
+    assert additive_energy(range(200)) == ap_energy_closed_form(200)
+    assert len(ranges) < 1000
 
 
 def test_bruteforce_cap():
