@@ -517,7 +517,8 @@ def _run_probe(p: dict[str, object], ctx: RunContext) -> None:
 
 def _run_mc(p: dict[str, object], ctx: RunContext) -> None:
     seq = _load_sequence(p)
-    schedule, s_values = p["mc.schedule"], p["mc.s"]
+    # the grid monte_carlo_ppc samples: both lists sorted, repeats dropped
+    schedule, s_values = sorted(set(p["mc.schedule"])), sorted(set(p["mc.s"]))
     points = p["mc.trials"] * sum(schedule) * len(s_values)
     if points > p["mc.max_points"]:
         raise BudgetError(
@@ -538,7 +539,7 @@ def _run_mc(p: dict[str, object], ctx: RunContext) -> None:
     ]
     ctx.write_csv(p["out.csv"], ["trial", "seed", "N", "s", "R"], rows)
     summary = {}
-    for n in sorted(set(r.n for r in result.rows)):
+    for n in schedule:
         for s in s_values:
             mean = result.mean_r(n, s)
             exceed = result.exceed_fraction(n, s)

@@ -22,6 +22,14 @@ k/2**64, fixed point with at most 64 bits, and the rationals of the regular
 system) the residues are a numpy uint64 array, sorted by ``np.sort`` and
 counted by ``np.searchsorted``; for larger q they are Python ints, counted
 by a two-pointer sweep.
+
+One evaluator serves every caller: it takes a grid of prefix lengths N and
+window parameters s for one (sequence, alpha), checks the whole grid before
+any work, computes the residues of the longest prefix once, sorts each
+prefix once and counts every s from that sorted array.  ``pair_correlation``
+is one cell of it, ``divergence_probe`` one call over its levels, and
+``monte_carlo_ppc`` one call per trial on elements it turned into uint64
+words once.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import numpy as np
 
 from .growth import GrowthFunction, ThetaFunction, psi
 from .energy import rep_counts
-from .sequences import BlockSequence, SequenceLike, as_elements, truncate
+from .sequences import BlockSequence, SequenceLike, as_elements
 
 __all__ = [
     "Alpha",
@@ -167,23 +175,17 @@ def _residues(alpha: Alpha, elements: Sequence[int]) -> tuple[list[int], int]:
 
 # residue moduli up to this size take the uint64 sweep
 _U64_MODULUS = 1 << 64
+# needles per searchsorted call of the uint64 sweep, so its scratch stays flat
+_SEARCH_CHUNK = 1 << 16
 
 
-def _residues_u64(alpha: Alpha, elements: Sequence[int]) -> tuple[np.ndarray, int]:
-    """:func:`_residues` as a uint64 array, for q <= 2**64."""
-    if alpha.denominator & (alpha.denominator - 1):  # not a power of two
-        res, q = _residues(alpha, elements)
-        return np.array(res, dtype=np.uint64), q
-    # q divides 2**64, so the product may wrap mod 2**64 before the mask
-    p, q = _dilation(alpha, elements)
-    mask = q - 1
+def _words(elements: Sequence[int]) -> np.ndarray:
+    """Every element mod 2**64 as a uint64 word.  That is all the residues
+    need under a power-of-two q <= 2**64, since q divides 2**64."""
     try:  # elements in [0, 2**64) convert as they are
-        res = np.fromiter(elements, dtype=np.uint64, count=len(elements))
+        return np.fromiter(elements, dtype=np.uint64, count=len(elements))
     except OverflowError:
-        res = np.array([x & mask for x in elements], dtype=np.uint64)
-    res *= np.uint64(p)
-    res &= np.uint64(mask)
-    return res, q
+        return np.array([x & (_U64_MODULUS - 1) for x in elements], dtype=np.uint64)
 
 
 def _count_within(sorted_res: list[int], q: int, limit: int) -> int:
@@ -205,13 +207,33 @@ def _count_within(sorted_res: list[int], q: int, limit: int) -> int:
     return count
 
 
+def _rank_sum(sorted_res: np.ndarray, lo: int, hi: int, shift: int) -> int:
+    """The sum over lo <= i < hi of #{j : r_j <= r_i + shift mod 2**64}, for
+    sorted r whose shifted values r_lo.. r_(hi-1) stay sorted.
+
+    The needles go in chunks of ``_SEARCH_CHUNK``.  Sorted needles land
+    between the ranks of the chunk's first and last one, so each chunk
+    searches only that stretch of the array.
+    """
+    total = 0
+    shift = np.uint64(shift)
+    for start in range(lo, hi, _SEARCH_CHUNK):
+        needles = sorted_res[start:min(start + _SEARCH_CHUNK, hi)] + shift
+        first = int(np.searchsorted(sorted_res, needles[0], side="right"))
+        last = int(np.searchsorted(sorted_res, needles[-1], side="right"))
+        ranks = np.searchsorted(sorted_res[first:last], needles, side="right")
+        total += int(ranks.sum()) + first * len(needles)
+    return total
+
+
 def _count_within_u64(sorted_res: np.ndarray, q: int, limit: int) -> int:
     """:func:`_count_within` for sorted uint64 residues and q <= 2**64.
 
     The residues r_i >= q - limit form a suffix; each of them pairs with
     every later residue and with the wrapped ones r_j <= r_i + limit - q.
     Every other r_i pairs with the later r_j <= r_i + limit, and there
-    r_i + limit < q, so no uint64 sum overflows.
+    r_i + limit < q, so no uint64 sum overflows.  The wrapped bound
+    r_i - (q - limit) is a uint64 sum too: r_i plus 2**64 - (q - limit).
     """
     n = len(sorted_res)
     if limit < 0:
@@ -221,43 +243,29 @@ def _count_within_u64(sorted_res: np.ndarray, q: int, limit: int) -> int:
         split, wrapped = n, 0
     else:
         split = int(np.searchsorted(sorted_res, np.uint64(top)))
-        tail = sorted_res[split:] - np.uint64(top)
-        wrapped = int(np.searchsorted(sorted_res, tail, side="right").sum())
-    direct = np.searchsorted(sorted_res, sorted_res[:split] + np.uint64(limit), side="right")
+        wrapped = _rank_sum(sorted_res, split, n, _U64_MODULUS - top)
+    direct = _rank_sum(sorted_res, 0, split, limit)
     m = n - split
-    return int(direct.sum()) - split * (split + 1) // 2 + m * (m - 1) // 2 + wrapped
+    return direct - split * (split + 1) // 2 + m * (m - 1) // 2 + wrapped
 
 
-def _prepare(seq: SequenceLike, n: int, s: SLike) -> tuple[Sequence[int], Fraction]:
-    s = Fraction(s)
-    if s < 0:
+def _grid(length: int, ns: Iterable[int], s_values: Iterable[SLike]
+          ) -> tuple[list[int], list[Fraction]]:
+    """The prefix lengths and window parameters, each sorted without
+    repeats, once every s >= 0 and every n lies in 1..length."""
+    s_values = sorted(set(Fraction(s) for s in s_values))
+    if s_values and s_values[0] < 0:
         raise ValueError("window parameter s must be nonnegative")
-    if n < 1:
+    ns = sorted(set(ns))
+    if ns and ns[0] < 1:
         raise ValueError("need at least one point")
-    return truncate(seq, n), s
+    if ns and ns[-1] > length:
+        raise ValueError(f"N={ns[-1]} but the sequence has {length} elements")
+    return ns, s_values
 
 
-def pair_correlation(seq: SequenceLike, alpha: Alpha, n: int, s: SLike) -> Fraction:
-    """The pair correlation statistic at scale N = n, exactly.
-
-    Counts ordered index pairs i != j with circle distance at most s/n
-    between the dilated points (closed threshold), scaled by 1/n.  Runs in
-    O(n log n) via sorting the residues p * a mod q of alpha = p/q: when
-    q <= 2**64 they are a uint64 array counted with ``np.searchsorted``,
-    otherwise a list of Python ints counted by a two-pointer sweep.  In
-    fixed-point mode a comparison landing inside the guard window raises
-    :class:`PrecisionError`.
-    """
-    elements, s = _prepare(seq, n, s)
-    if 2 * s >= n:  # the window covers the whole circle
-        return Fraction(n - 1)
-    if alpha.denominator <= _U64_MODULUS:
-        res, q = _residues_u64(alpha, elements)
-        count_within = _count_within_u64
-    else:
-        res, q = _residues(alpha, elements)
-        count_within = _count_within
-    res.sort()
+def _count_cell(count_within, res, q: int, alpha: Alpha, n: int, s: Fraction) -> Fraction:
+    """The statistic at (n, s) from the sorted residues of the n-prefix."""
     # threshold in residue units: distance/q <= s/n  <=>  distance <= q*s/n
     t_num, t_den = q * s.numerator, s.denominator * n
     limit = t_num // t_den
@@ -278,6 +286,77 @@ def pair_correlation(seq: SequenceLike, alpha: Alpha, n: int, s: SLike) -> Fract
             "threshold; use rational mode"
         )
     return Fraction(2 * c_low, n)
+
+
+def _statistics(
+    elements: Sequence[int],
+    alpha: Alpha,
+    ns: Iterable[int],
+    s_values: Iterable[SLike],
+    words: np.ndarray | None = None,
+) -> dict[tuple[int, Fraction], Fraction]:
+    """The statistic at every (n, s) of the grid, from one residue pass.
+
+    Every n and s is checked before any work, and the fixed-point width
+    check runs once, over the longest prefix that needs counting (a cell
+    with 2s >= n covers the whole circle and needs none).  The residues of
+    that prefix are computed once: uint64 when q <= 2**64, from ``words``
+    (:func:`_words` of the elements, when the caller has them) for
+    power-of-two q; Python ints above 2**64.  Each shorter prefix is sorted
+    as a copy, the longest in place, and every s is counted from that one
+    sorted array.
+    """
+    ns, s_values = _grid(len(elements), ns, s_values)
+    out = {(n, s): Fraction(n - 1) for n in ns for s in s_values if 2 * s >= n}
+    counted = [n for n in ns if any(2 * s < n for s in s_values)]
+    if not counted:
+        return out
+    top = counted[-1]
+    prefix = elements if top == len(elements) else elements[:top]
+    q = alpha.denominator
+    u64 = q <= _U64_MODULUS
+    if u64 and not q & (q - 1):
+        # q divides 2**64, so the product may wrap mod 2**64 before the mask
+        p, q = _dilation(alpha, prefix)
+        res = (_words(prefix) if words is None else words[:top]) * np.uint64(p)
+        res &= np.uint64(q - 1)
+    else:
+        res, q = _residues(alpha, prefix)
+        if u64:
+            res = np.array(res, dtype=np.uint64)
+    count_within = _count_within_u64 if u64 else _count_within
+    for n in counted:
+        if n < top:
+            sorted_res = np.sort(res[:n]) if u64 else sorted(res[:n])
+        else:
+            res.sort()
+            sorted_res = res
+        for s in s_values:
+            if 2 * s < n:
+                out[n, s] = _count_cell(count_within, sorted_res, q, alpha, n, s)
+    return out
+
+
+def pair_correlation(seq: SequenceLike, alpha: Alpha, n: int, s: SLike) -> Fraction:
+    """The pair correlation statistic at scale N = n, exactly.
+
+    Counts ordered index pairs i != j with circle distance at most s/n
+    between the dilated points (closed threshold), scaled by 1/n.  Runs in
+    O(n log n) via sorting the residues p * a mod q of alpha = p/q: when
+    q <= 2**64 they are a uint64 array counted with ``np.searchsorted``,
+    otherwise a list of Python ints counted by a two-pointer sweep.  In
+    fixed-point mode a comparison landing inside the guard window raises
+    :class:`PrecisionError`.
+    """
+    s = Fraction(s)
+    return _statistics(as_elements(seq), alpha, [n], [s])[n, s]
+
+
+def _prepare(seq: SequenceLike, n: int, s: SLike) -> tuple[Sequence[int], Fraction]:
+    """The n-prefix and s of one cell, checked as the evaluator checks them."""
+    elements = as_elements(seq)
+    (n,), (s,) = _grid(len(elements), [n], [s])
+    return elements[:n], s
 
 
 def pair_correlation_naive(seq: SequenceLike, alpha: Alpha, n: int, s: SLike) -> Fraction:
@@ -449,15 +528,16 @@ def divergence_probe(
     (up to its unspecified constant) for visual comparison."""
     params = seq.params
     s = Fraction(s)
+    levels = sorted(set(levels))
+    ns = [seq.checkpoint(j) for j in levels]
+    stats = _statistics(as_elements(seq), alpha, ns, [s])
     points = []
-    for j in sorted(set(levels)):
-        n = seq.checkpoint(j)
-        r = pair_correlation(seq, alpha, n, s)
+    for j, n in zip(levels, ns):
         x = 2.0**j
         predicted = params.f(x) ** (2.0 * params.gamma - params.beta) * system.theta(
             x
         ) ** (1.0 / 3.0)
-        points.append(TrajectoryPoint(level=j, n=n, s=s, r=r, predicted=predicted))
+        points.append(TrajectoryPoint(level=j, n=n, s=s, r=stats[n, s], predicted=predicted))
     return Trajectory(alpha=alpha, points=tuple(points))
 
 
@@ -515,27 +595,25 @@ def monte_carlo_ppc(
 
     Each trial draws its dilation from an independent substream of the master
     seed, so results are reproducible run to run and independent of the
-    execution order; rows are emitted sorted by (trial, n, s).
+    execution order.  The schedule and the s values are sorted and their
+    repeats dropped, and rows are emitted sorted by (trial, n, s).  Every
+    input is checked before any work.  The elements become uint64 words
+    (x mod 2**64) once per call; each trial multiplies them by its k and
+    answers every (n, s) from one sort per prefix.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    schedule = sorted(set(int(n) for n in schedule))
-    s_fracs = [Fraction(s) for s in s_values]
+    elements = as_elements(seq)
+    schedule, s_fracs = _grid(len(elements), [int(n) for n in schedule], s_values)
     if not schedule or not s_fracs:
         raise ValueError("schedule and s list must be nonempty")
-    elements = as_elements(seq)
-    if schedule[-1] > len(elements):
-        raise ValueError(
-            f"schedule reaches N={schedule[-1]} but the sequence has "
-            f"{len(elements)} elements"
-        )
-
+    words = _words(elements[:schedule[-1]])
     rows = []
     for trial in range(trials):
         alpha = _trial_alpha(seed, trial)
+        stats = _statistics(elements, alpha, schedule, s_fracs, words)
         rows += [
-            MonteCarloRow(trial=trial, alpha=alpha, n=n, s=s,
-                          r=pair_correlation(elements, alpha, n, s))
+            MonteCarloRow(trial=trial, alpha=alpha, n=n, s=s, r=stats[n, s])
             for n in schedule
             for s in s_fracs
         ]

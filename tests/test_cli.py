@@ -136,6 +136,25 @@ def test_mc_determinism_and_manifest_hash(tmp_path):
     assert manifest["output"]["sha256"] == hashlib.sha256(first).hexdigest()
 
 
+def test_mc_sorts_and_drops_repeated_s_values(tmp_path):
+    args = ["mc", "--family", "power", "--seq-n", 300, "--trials", 3,
+            "--schedule", "150,300", "--seed", 7]
+    assert run_cli(*args, "--s", "1,1/2,1", "--csv", tmp_path / "messy.csv") == 0
+    assert run_cli(*args, "--s", "1/2,1", "--csv", tmp_path / "clean.csv") == 0
+    assert (tmp_path / "messy.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
+
+
+@pytest.mark.parametrize("grid", [("--schedule", "150,300", "--s", "1,-1/2"),
+                                  ("--schedule", "0,300", "--s", "1")])
+def test_mc_bad_grid_exits_3_without_output(tmp_path, capsys, grid):
+    csv = tmp_path / "x.csv"
+    assert run_cli("mc", "--family", "power", "--seq-n", 300, "--trials", 3,
+                   "--seed", 7, *grid, "--csv", csv) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("precondition error")
+    assert not csv.exists()
+
+
 def test_corollary_table_level_one_row(tmp_path):
     csv = tmp_path / "cor.csv"
     assert run_cli("corollary-table", "--r", 1, "--jmax", 1, "--csv", csv) == 0

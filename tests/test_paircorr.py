@@ -4,10 +4,12 @@ Monte Carlo determinism."""
 
 import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
 
+from ppclab import paircorr
 from ppclab.growth import GrowthFunction, ThetaFunction, psi
 from ppclab.paircorr import (
     Alpha,
@@ -394,6 +396,56 @@ def test_monte_carlo_accessors_and_validation():
         monte_carlo_ppc(seq, seed=1, trials=2, schedule=[81], s_values=[1])
     with pytest.raises(ValueError):
         monte_carlo_ppc(seq, seed=1, trials=2, schedule=[], s_values=[1])
+
+
+def test_monte_carlo_sorts_and_drops_repeated_grid_values():
+    seq = classic("power", 80, 2)
+    messy = monte_carlo_ppc(seq, seed=5, trials=2, schedule=[80, 40, 80],
+                            s_values=["1", "1/2", "1"])
+    clean = monte_carlo_ppc(seq, seed=5, trials=2, schedule=[40, 80],
+                            s_values=[Fraction(1, 2), 1])
+    assert messy.rows == clean.rows
+    assert [(r.trial, r.n, r.s) for r in clean.rows] == [
+        (t, n, s) for t in range(2) for n in (40, 80) for s in (Fraction(1, 2), 1)
+    ]
+
+
+class UnreadableElements(Sequence):
+    """A sequence whose length is known but whose elements must not be read."""
+
+    def __len__(self):
+        return 100
+
+    def __getitem__(self, index):
+        raise AssertionError("elements read before the input was checked")
+
+
+def _refuse_conversion(monkeypatch):
+    def convert(*args):
+        raise AssertionError("residues computed before the input was checked")
+
+    monkeypatch.setattr(paircorr, "_words", convert)
+    monkeypatch.setattr(paircorr, "_residues", convert)
+
+
+@pytest.mark.parametrize("schedule, s_values", [
+    ([50, 100], [1, "-1/2"]),  # a negative window after a good one
+    ([0, 100], [1]),           # N = 0
+    ([50, 101], [1]),          # past the end of the sequence
+])
+def test_monte_carlo_refuses_a_bad_grid_before_any_work(monkeypatch, schedule, s_values):
+    _refuse_conversion(monkeypatch)
+    with pytest.raises(ValueError):
+        monte_carlo_ppc(UnreadableElements(), seed=1, trials=3, schedule=schedule,
+                        s_values=s_values)
+
+
+@pytest.mark.parametrize("s, levels", [("-1/2", [4, 5]), (1, [4, 7]), (1, [0, 4])])
+def test_divergence_probe_refuses_bad_input_before_any_work(monkeypatch, s, levels):
+    seq = build_blocks(ILOG1, 0.7, 0.45, 6)
+    _refuse_conversion(monkeypatch)
+    with pytest.raises(ValueError):
+        divergence_probe(seq, Alpha.rational(1, 13), s, levels, SYSTEM)
 
 
 # -- primality and baseline dilations ------------------------------------------------

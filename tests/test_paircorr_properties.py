@@ -1,4 +1,5 @@
-"""Property tests: the pair-correlation routes agree on small sets.
+"""Property tests: the pair-correlation routes agree on small sets, and the
+grid callers (Monte Carlo, divergence probe) agree with one-cell calls.
 
 Moduli cover both production sweeps (uint64 for q <= 2**64, Python ints
 above) and their edges: q = 1 and 2, powers of two, the Mersenne prime
@@ -9,18 +10,25 @@ the largest limit below q/2.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ppclab import paircorr
+from ppclab.growth import GrowthFunction, ThetaFunction
 from ppclab.paircorr import (
     Alpha,
     PrecisionError,
+    RegularSystemParams,
+    divergence_probe,
+    monte_carlo_ppc,
     pair_correlation,
     pair_correlation_naive,
     pair_correlation_via_reps,
 )
+from ppclab.sequences import build_blocks
 
 U64 = 1 << 64
 
@@ -80,3 +88,102 @@ def test_certified_fixed_point_equals_rational(data):
     except PrecisionError:
         return  # refused, not wrong
     assert r == pair_correlation_naive(elements, Alpha.rational(fixed.mantissa, 1 << bits), n, s)
+
+
+# -- one residue pass per (sequence, alpha) -----------------------------------------
+#
+# monte_carlo_ppc and divergence_probe answer a whole (n, s) grid from one
+# residue pass; every cell must equal its own one-cell call, and the literal
+# quadratic count where that is cheap.  The search chunk is also set to 1 and
+# 3, so the chunked uint64 sweep crosses chunk boundaries inside every prefix.
+
+CHUNKS = [1, 3, paircorr._SEARCH_CHUNK]
+NAIVE_MAX_N = 64
+BLOCKS = build_blocks(GrowthFunction("ilog", r=1), 0.7, 0.45, 10)  # up to 165-bit elements
+SYSTEM = RegularSystemParams(f=BLOCKS.params.f, theta=ThetaFunction("one_plus_log"))
+
+# 0, halves, and windows wide enough that 2s >= n covers the circle
+S_VALUES = st.one_of(st.just(Fraction(0)), st.fractions(0, 4, max_denominator=8),
+                     st.integers(0, 1000).map(Fraction))
+
+
+def assert_cell(seq, alpha, n, s, r):
+    assert r == pair_correlation(seq, alpha, n, s)
+    if n <= NAIVE_MAX_N and alpha.mode == "rational":
+        assert r == pair_correlation_naive(seq, alpha, n, s)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@given(data=st.data())
+def test_monte_carlo_rows_equal_per_cell_calls(chunk, data):
+    # negative, small and beyond-2**64 elements, repeats allowed
+    element = st.one_of(st.integers(-(1 << 70), 1 << 70), st.integers(-50, 50))
+    elements = data.draw(st.lists(element, min_size=1, max_size=80))
+    n_max = len(elements)
+    schedule = data.draw(st.lists(st.integers(1, n_max), min_size=1, max_size=5))
+    s_values = data.draw(st.lists(S_VALUES, min_size=1, max_size=4))
+    seed, trials = data.draw(st.integers(0, 1 << 32)), data.draw(st.integers(1, 2))
+    with mock.patch.object(paircorr, "_SEARCH_CHUNK", chunk):
+        result = monte_carlo_ppc(elements, seed=seed, trials=trials,
+                                 schedule=schedule, s_values=s_values)
+        grid = [(t, n, s) for t in range(trials) for n in sorted(set(schedule))
+                for s in sorted(set(s_values))]
+        assert [(row.trial, row.n, row.s) for row in result.rows] == grid
+        for row in result.rows:
+            assert_cell(elements, row.alpha, row.n, row.s, row.r)
+
+
+ALPHAS = st.one_of(
+    st.integers(1, 64).flatmap(lambda k: st.integers(0, (1 << k) - 1).map(
+        lambda p: Alpha.rational(p, 1 << k))),
+    st.integers(3, U64).flatmap(lambda q: st.integers(0, q - 1).map(
+        lambda p: Alpha.rational(p, q))),
+    st.integers(U64 + 1, 1 << 300).flatmap(lambda q: st.integers(0, q - 1).map(
+        lambda p: Alpha.rational(p, q))),
+    # fixed point wide enough for some levels and too narrow for others
+    st.tuples(st.integers(8, 240), st.integers(1, 64)).filter(lambda t: t[1] < t[0]).flatmap(
+        lambda t: st.integers(0, (1 << t[0]) - 1).map(lambda m: Alpha.fixed(m, t[0], t[1]))),
+)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@given(data=st.data())
+def test_divergence_probe_points_equal_per_cell_calls(chunk, data):
+    levels = data.draw(st.lists(st.integers(1, BLOCKS.params.j_max), min_size=1, max_size=6))
+    alpha, s = data.draw(ALPHAS), data.draw(S_VALUES)
+    with mock.patch.object(paircorr, "_SEARCH_CHUNK", chunk):
+        cells = {}
+        for j in set(levels):
+            try:
+                cells[j] = pair_correlation(BLOCKS, alpha, BLOCKS.checkpoint(j), s)
+            except PrecisionError:
+                cells[j] = None
+        if None in cells.values():  # a refused cell refuses the whole probe
+            with pytest.raises(PrecisionError):
+                divergence_probe(BLOCKS, alpha, s, levels, SYSTEM)
+            return
+        traj = divergence_probe(BLOCKS, alpha, s, levels, SYSTEM)
+        assert [p.level for p in traj.points] == sorted(set(levels))
+        for p in traj.points:
+            assert p.n == BLOCKS.checkpoint(p.level) and p.r == cells[p.level]
+            assert_cell(BLOCKS, alpha, p.n, s, p.r)
+
+
+@given(st.data())
+def test_probe_refuses_when_the_deepest_level_fails_the_width_check(data):
+    widths = [max(BLOCKS.elements[:n]).bit_length() for n in BLOCKS.checkpoints]
+    # levels whose prefix is wider than the one before
+    deepest = data.draw(st.sampled_from(
+        [j for j in range(2, len(widths) + 1) if widths[j - 1] > widths[j - 2]]))
+    guard = data.draw(st.integers(1, 64))
+    bits = widths[deepest - 2] + guard  # exactly enough for level deepest - 1
+    alpha = Alpha.fixed(data.draw(st.integers(0, (1 << bits) - 1)), bits, guard)
+    levels = data.draw(st.permutations(range(1, deepest + 1)))
+    s = Fraction(1, 2)  # 2s < n at every level from 2 on, so the deepest is counted
+    with pytest.raises(PrecisionError, match="mantissa bits"):
+        divergence_probe(BLOCKS, alpha, s, levels, SYSTEM)
+    # without the deepest level the width check passes
+    try:
+        divergence_probe(BLOCKS, alpha, s, range(1, deepest), SYSTEM)
+    except PrecisionError as exc:
+        assert "mantissa bits" not in str(exc)
