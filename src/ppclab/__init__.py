@@ -11,8 +11,9 @@ The pieces, bottom up:
 - :mod:`ppclab.sequences` — the two-block (consecutive-run + shifted powers
   of two) construction with exact checkpoints, classic comparison families,
   and the sequence file format.
-- :mod:`ppclab.energy` — exact additive energy by a bounded numpy sort of
-  residue keys confirmed by the Chinese remainder theorem, with brute-force
+- :mod:`ppclab.energy` — exact additive energy of a whole grid of prefixes
+  from one bounded numpy sort of residue keys, equal keys certified by the
+  elements' positions or by the Chinese remainder theorem, with brute-force
   and FFT oracles; representation counts; checkpoint scaling.
 - :mod:`ppclab.paircorr` — the exact pair correlation statistic (rational
   and certified fixed-point dilations), regular systems of rational

@@ -3,9 +3,11 @@ CSV column contracts, manifest hashes, determinism, and exit codes."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from ppclab.growth import GrowthFunction
 from ppclab.sequences import build_blocks, read_sequence
 
 ILOG1 = GrowthFunction("ilog", r=1)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args):
@@ -262,9 +265,14 @@ def test_edited_sequence_file_is_rejected(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the subprocess finds the package in src/ whether or not it is installed
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "ppclab.cli", "bohr", "--d", "1", "--delta", "1/4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "measure = 1/2" in proc.stdout

@@ -145,16 +145,33 @@ def test_shared_primary_residue_is_confirmed():
     assert additive_energy([0, 1, m, m + 2]) == 28
 
 
+def test_segments_stop_short_of_half_m0():
+    # with H = floor(M0 / 2), the differences H + 1 and -H agree modulo M0
+    # (they differ by exactly M0), so the pairs (0, H + 1) and (B, B + H)
+    # share a key.  Segments reach offset H - 1 at most, so neither pair lies
+    # inside one segment and the confirmation keeps them apart; a segment
+    # reaching offset H + 1 would hold both and merge their differences
+    m = energy._M0
+    h = m // 2
+    assert (h + 1) - (-h) == m
+    for b in (1 << 80, (1 << 80) + 1, 7 * m + (1 << 81), 1 << 300):
+        a = [0, h + 1, b, b + h]
+        assert energy._segments(a).tolist() == [0, 1, 2, 3]
+        assert additive_energy(a) == 28 == additive_energy_bruteforce(a)
+        assert additive_energy(a) == energy_from_reps(rep_counts(a))
+        assert energy._energies(a, [4, 1, 3, 4]) == [28, 1, 15, 28]
+
+
 def test_pair_cap_splits_key_ranges(monkeypatch):
     monkeypatch.setattr(energy, "_PAIR_CAP", 16)
     generated = []
-    count_range = energy._range_square_sum
+    count_range = energy._range_increments
 
-    def recording(rho, ys, moduli, residues, slices):
+    def recording(state, slices):
         generated.append(int(slices[1].sum() + slices[3].sum()))
-        return count_range(rho, ys, moduli, residues, slices)
+        return count_range(state, slices)
 
-    monkeypatch.setattr(energy, "_range_square_sum", recording)
+    monkeypatch.setattr(energy, "_range_increments", recording)
     rng = random.Random(8)
     # a run of 12 and 50 spread elements: 1891 pairs, ranges of at most
     # max(16, 2n) = 124
@@ -173,14 +190,15 @@ def test_pair_cap_splits_key_ranges(monkeypatch):
     assert max(generated) == 30 * 29 // 2 > 2 * len(a)
     # 183 differences of a 200-term progression have more than 16 pairs; with
     # ranges of up to 2n pairs none is halved sixty-odd times down to its own key
+    # (one boundary search per range end: two at the root, one per split)
     ranges = []
-    find_partners = energy._partner_slices
+    find_boundary = energy._key_boundary
 
-    def counting(rho, lo, hi):
-        ranges.append((lo, hi))
-        return find_partners(rho, lo, hi)
+    def counting(rho, b):
+        ranges.append(b)
+        return find_boundary(rho, b)
 
-    monkeypatch.setattr(energy, "_partner_slices", counting)
+    monkeypatch.setattr(energy, "_key_boundary", counting)
     assert additive_energy(range(200)) == ap_energy_closed_form(200)
     assert len(ranges) < 1000
 
