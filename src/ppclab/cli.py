@@ -351,6 +351,9 @@ def _fmt_float(x: float) -> str:
 # -- sequence resolution ---------------------------------------------------------------
 
 
+_CLASSIC = ("identity", "power", "primes", "lacunary")
+
+
 def _build_from_params(p: dict[str, object]):
     family = p.get("seq.family")
     if family == "blocks":
@@ -358,7 +361,7 @@ def _build_from_params(p: dict[str, object]):
             if p.get(key) is None:
                 raise ConfigError(f"family blocks requires {key}")
         return build_blocks(p["seq.f"], p["seq.beta"], p["seq.gamma"], p["seq.jmax"])
-    if family in ("identity", "power", "primes", "lacunary"):
+    if family in _CLASSIC:
         if p.get("seq.n") is None:
             raise ConfigError(f"family {family} requires seq.n (--seq-n)")
         return classic(family, p["seq.n"], p.get("seq.param") or 0)
@@ -408,11 +411,17 @@ def _run_build_seq(p: dict[str, object], ctx: RunContext) -> None:
 
 
 def _run_energy(p: dict[str, object], ctx: RunContext) -> None:
+    # the size is known before any load from energy.n or a classic family's seq.n
+    n = p["energy.n"]
+    if n is None and p.get("seq.file") is None and p.get("seq.family") in _CLASSIC:
+        n = p.get("seq.n")
+    if n is not None:
+        check_pair_budget([n], p["energy.max_pairs"])
     seq = _load_sequence(p)
-    n = p["energy.n"] if p["energy.n"] is not None else len(as_elements(seq))
-    prefix = truncate(seq, n)
-    check_pair_budget([n], p["energy.max_pairs"])
-    value = additive_energy(prefix)
+    if n is None:
+        n = len(as_elements(seq))
+        check_pair_budget([n], p["energy.max_pairs"])
+    value = additive_energy(truncate(seq, n))
     print(f"n = {n}")
     print(f"E = {value}")
     ctx.finish()
@@ -516,7 +525,6 @@ def _run_probe(p: dict[str, object], ctx: RunContext) -> None:
 
 
 def _run_mc(p: dict[str, object], ctx: RunContext) -> None:
-    seq = _load_sequence(p)
     # the grid monte_carlo_ppc samples: both lists sorted, repeats dropped
     schedule, s_values = sorted(set(p["mc.schedule"])), sorted(set(p["mc.s"]))
     points = p["mc.trials"] * sum(schedule) * len(s_values)
@@ -525,6 +533,7 @@ def _run_mc(p: dict[str, object], ctx: RunContext) -> None:
             f"about {points} sampled points requested, over the budget of "
             f"{p['mc.max_points']} (mc.max_points)"
         )
+    seq = _load_sequence(p)
     result = monte_carlo_ppc(
         seq,
         seed=p["mc.seed"],

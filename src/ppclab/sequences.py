@@ -21,6 +21,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 from .growth import GrowthFunction, _parse_number, parse_growth
 
 __all__ = [
@@ -300,6 +302,9 @@ def classic(family: str, n: int, param: int = 0) -> ClassicSequence:
         d = param or 2
         if d < 1:
             raise ValueError("power exponent must be >= 1")
+        if n**d < 1 << 63:  # every power fits an int64, so numpy computes it exactly
+            return ClassicSequence(family, n, d,
+                                   (np.arange(1, n + 1, dtype=np.int64) ** d).tolist())
         return ClassicSequence(family, n, d, [k**d for k in range(1, n + 1)])
     if family == "primes":
         return ClassicSequence(family, n, 0, _first_primes(n))

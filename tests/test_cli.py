@@ -253,6 +253,25 @@ def test_budget_refusals_exit_4(tmp_path, capsys):
     assert "E = 19" in capsys.readouterr().out
 
 
+
+def test_budget_refusals_come_before_the_sequence_is_loaded(tmp_path, monkeypatch, capsys):
+    def no_load(p):
+        raise AssertionError("the sequence was loaded before the budget check")
+
+    monkeypatch.setattr(ppclab.cli, "_load_sequence", no_load)
+    path = tmp_path / "never-read.txt"  # does not exist: a read would fail
+    assert run_cli("mc", "--seq", path, "--trials", 10, "--schedule", 500, "--seed", 1,
+                   "--max-points", 100, "--csv", tmp_path / "x.csv") == 4
+    assert run_cli("mc", "--family", "power", "--seq-n", 10**7, "--trials", 10,
+                   "--schedule", 10**7, "--seed", 1, "--csv", tmp_path / "x.csv") == 4
+    # 5000^2 pair operations, over the default budget of 2^24: from energy.n ...
+    assert run_cli("energy", "--seq", path, "--n", 5000) == 4
+    # ... or from a classic family's seq.n
+    assert run_cli("energy", "--family", "power", "--seq-n", 5000) == 4
+    assert run_cli("energy", "--family", "identity", "--seq-n", 10, "--n", 5000) == 4
+    assert capsys.readouterr().err.count("budget refusal") == 5
+    assert not (tmp_path / "x.csv").exists()
+
 def test_edited_sequence_file_is_rejected(tmp_path, capsys):
     seq_file = tmp_path / "seq.txt"
     run_cli("build-seq", "--f", "ilog(1)", "--beta", "2/3", "--gamma", "1/3",

@@ -5,13 +5,16 @@ Moduli cover both production sweeps (uint64 for q <= 2**64, Python ints
 above) and their edges: q = 1 and 2, powers of two, the Mersenne prime
 2**61 - 1, q = 2**64 - 59 (where r + limit wraps past 2**64) and q = 2**64.
 Residues include 0, q - 1 and repeats; the window runs from limit = 0 to
-the largest limit below q/2.
+the largest limit below q/2.  The uint64 sweep also runs with its dense
+successor rounds patched to none (rank search only), one, and more than n
+with no switch to the search (dense rounds only).
 """
 
 import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -63,14 +66,17 @@ def instances(draw, moduli):
     return elements, Alpha.rational(p, q), s
 
 
-@pytest.mark.parametrize("kind", MODULI)
-@given(data=st.data())
-def test_three_routes_agree(kind, data):
-    elements, alpha, s = data.draw(instances(MODULI[kind]))
+def assert_three_routes(elements, alpha, s):
     n = len(elements)
     r = pair_correlation(elements, alpha, n, s)
     assert r == pair_correlation_naive(elements, alpha, n, s)
     assert r == pair_correlation_via_reps(elements, alpha, n, s)
+
+
+@pytest.mark.parametrize("kind", MODULI)
+@given(data=st.data())
+def test_three_routes_agree(kind, data):
+    assert_three_routes(*data.draw(instances(MODULI[kind])))
 
 
 @given(st.data())
@@ -107,6 +113,29 @@ S_VALUES = st.one_of(st.just(Fraction(0)), st.fractions(0, 4, max_denominator=8)
                      st.integers(0, 1000).map(Fraction))
 
 
+# -- the uint64 sweep's dense successor rounds --------------------------------------
+#
+# _DENSE_ROUNDS = 0 sends every anchor to the rank search; 1 tests one
+# successor densely; more than n with the clustered switch off (share 1.0)
+# counts by dense rounds alone.  The search chunk is drawn too, so blocks of
+# 1 and 3 anchors put wrapped successors in several blocks.
+
+ROUNDS = [0, 1, 1 << 20]
+SHARES = [paircorr._CLUSTERED_SHARE, 1.0]
+# every (rounds, share) pair, the default rounds included, for the pinned cases
+SWEEPS = [(r, share) for r in ROUNDS + [paircorr._DENSE_ROUNDS] for share in SHARES]
+
+
+def sweep(rounds, share, chunk=paircorr._SEARCH_CHUNK):
+    return mock.patch.multiple(paircorr, _DENSE_ROUNDS=rounds, _CLUSTERED_SHARE=share,
+                               _SEARCH_CHUNK=chunk)
+
+
+def sweep_settings(data, rounds, chunks=CHUNKS):
+    """The patches of one drawn uint64 sweep configuration."""
+    return sweep(rounds, data.draw(st.sampled_from(SHARES)), data.draw(st.sampled_from(chunks)))
+
+
 def assert_cell(seq, alpha, n, s, r):
     assert r == pair_correlation(seq, alpha, n, s)
     if n <= NAIVE_MAX_N and alpha.mode == "rational":
@@ -116,6 +145,18 @@ def assert_cell(seq, alpha, n, s, r):
 @pytest.mark.parametrize("chunk", CHUNKS)
 @given(data=st.data())
 def test_monte_carlo_rows_equal_per_cell_calls(chunk, data):
+    with mock.patch.object(paircorr, "_SEARCH_CHUNK", chunk):
+        assert_monte_carlo_rows(data)
+
+
+@pytest.mark.parametrize("rounds", ROUNDS)
+@given(data=st.data())
+def test_monte_carlo_rows_with_dense_rounds(rounds, data):
+    with sweep_settings(data, rounds):
+        assert_monte_carlo_rows(data)
+
+
+def assert_monte_carlo_rows(data):
     # negative, small and beyond-2**64 elements, repeats allowed
     element = st.one_of(st.integers(-(1 << 70), 1 << 70), st.integers(-50, 50))
     elements = data.draw(st.lists(element, min_size=1, max_size=80))
@@ -123,14 +164,13 @@ def test_monte_carlo_rows_equal_per_cell_calls(chunk, data):
     schedule = data.draw(st.lists(st.integers(1, n_max), min_size=1, max_size=5))
     s_values = data.draw(st.lists(S_VALUES, min_size=1, max_size=4))
     seed, trials = data.draw(st.integers(0, 1 << 32)), data.draw(st.integers(1, 2))
-    with mock.patch.object(paircorr, "_SEARCH_CHUNK", chunk):
-        result = monte_carlo_ppc(elements, seed=seed, trials=trials,
-                                 schedule=schedule, s_values=s_values)
-        grid = [(t, n, s) for t in range(trials) for n in sorted(set(schedule))
-                for s in sorted(set(s_values))]
-        assert [(row.trial, row.n, row.s) for row in result.rows] == grid
-        for row in result.rows:
-            assert_cell(elements, row.alpha, row.n, row.s, row.r)
+    result = monte_carlo_ppc(elements, seed=seed, trials=trials,
+                             schedule=schedule, s_values=s_values)
+    grid = [(t, n, s) for t in range(trials) for n in sorted(set(schedule))
+            for s in sorted(set(s_values))]
+    assert [(row.trial, row.n, row.s) for row in result.rows] == grid
+    for row in result.rows:
+        assert_cell(elements, row.alpha, row.n, row.s, row.r)
 
 
 ALPHAS = st.one_of(
@@ -149,24 +189,38 @@ ALPHAS = st.one_of(
 @pytest.mark.parametrize("chunk", CHUNKS)
 @given(data=st.data())
 def test_divergence_probe_points_equal_per_cell_calls(chunk, data):
+    with mock.patch.object(paircorr, "_SEARCH_CHUNK", chunk):
+        assert_probe_points(data)
+
+
+@pytest.mark.parametrize("rounds", ROUNDS)
+@given(data=st.data())
+def test_divergence_probe_points_with_dense_rounds(rounds, data):
+    # dense rounds alone take n - 1 rounds per block, so at n = 892 only
+    # whole blocks keep that case fast
+    chunks = CHUNKS if rounds < 100 else [paircorr._SEARCH_CHUNK]
+    with sweep_settings(data, rounds, chunks):
+        assert_probe_points(data)
+
+
+def assert_probe_points(data):
     levels = data.draw(st.lists(st.integers(1, BLOCKS.params.j_max), min_size=1, max_size=6))
     alpha, s = data.draw(ALPHAS), data.draw(S_VALUES)
-    with mock.patch.object(paircorr, "_SEARCH_CHUNK", chunk):
-        cells = {}
-        for j in set(levels):
-            try:
-                cells[j] = pair_correlation(BLOCKS, alpha, BLOCKS.checkpoint(j), s)
-            except PrecisionError:
-                cells[j] = None
-        if None in cells.values():  # a refused cell refuses the whole probe
-            with pytest.raises(PrecisionError):
-                divergence_probe(BLOCKS, alpha, s, levels, SYSTEM)
-            return
-        traj = divergence_probe(BLOCKS, alpha, s, levels, SYSTEM)
-        assert [p.level for p in traj.points] == sorted(set(levels))
-        for p in traj.points:
-            assert p.n == BLOCKS.checkpoint(p.level) and p.r == cells[p.level]
-            assert_cell(BLOCKS, alpha, p.n, s, p.r)
+    cells = {}
+    for j in set(levels):
+        try:
+            cells[j] = pair_correlation(BLOCKS, alpha, BLOCKS.checkpoint(j), s)
+        except PrecisionError:
+            cells[j] = None
+    if None in cells.values():  # a refused cell refuses the whole probe
+        with pytest.raises(PrecisionError):
+            divergence_probe(BLOCKS, alpha, s, levels, SYSTEM)
+        return
+    traj = divergence_probe(BLOCKS, alpha, s, levels, SYSTEM)
+    assert [p.level for p in traj.points] == sorted(set(levels))
+    for p in traj.points:
+        assert p.n == BLOCKS.checkpoint(p.level) and p.r == cells[p.level]
+        assert_cell(BLOCKS, alpha, p.n, s, p.r)
 
 
 @given(st.data())
@@ -187,3 +241,73 @@ def test_probe_refuses_when_the_deepest_level_fails_the_width_check(data):
         divergence_probe(BLOCKS, alpha, s, range(1, deepest), SYSTEM)
     except PrecisionError as exc:
         assert "mantissa bits" not in str(exc)
+
+
+# -- pinned cases of the uint64 sweep ------------------------------------------------
+
+
+@pytest.mark.parametrize("rounds", ROUNDS)
+@given(data=st.data())
+def test_three_routes_agree_with_dense_rounds(rounds, data):
+    instance = data.draw(instances(st.one_of(*MODULI.values())))
+    with sweep_settings(data, rounds):
+        assert_three_routes(*instance)
+
+
+@pytest.mark.parametrize("rounds, share", SWEEPS)
+def test_full_turn_at_2_64_is_counted_once(rounds, share):
+    # both residues are 0 mod 2**64: the pair is at distance 0 one way and a
+    # full turn the other, which a wrapping uint64 difference would make 0 too
+    alpha = Alpha.rational(12345, U64)
+    with sweep(rounds, share):
+        assert pair_correlation([0, U64], alpha, 2, 0) == 1
+        assert pair_correlation([0, U64, 2 * U64], alpha, 3, 0) == 2
+        assert paircorr._count_within_u64(np.zeros(2, np.uint64), U64, [0]) == [1]
+
+
+@pytest.mark.parametrize("rounds, share", SWEEPS)
+def test_wrapped_pair_below_2_64(rounds, share):
+    # residues 0 and q - 1 are one unit apart across the wrap
+    q = U64 - 59
+    res = np.array([0, q - 1], dtype=np.uint64)
+    with sweep(rounds, share):
+        assert paircorr._count_within_u64(res, q, [0, 1, 2]) == [0, 1, 1]
+        assert pair_correlation([0, q - 1], Alpha.rational(1, q), 2, Fraction(2, q)) == 1
+        assert pair_correlation([0, q - 1], Alpha.rational(1, q), 2, Fraction(1, q)) == 0
+
+
+@pytest.mark.parametrize("rounds", ROUNDS)
+@given(data=st.data())
+def test_one_sweep_of_several_limits_equals_one_per_limit(rounds, data):
+    q = data.draw(st.one_of(*MODULI.values()))
+    res = sorted(data.draw(st.lists(
+        st.one_of(st.just(0), st.just(q - 1), st.integers(0, q - 1)), min_size=1, max_size=40)))
+    half = (q - 1) // 2  # the largest limit below q/2
+    limit = st.one_of(st.integers(-3, -1), st.just(0), st.just(half), st.integers(0, half))
+    limits = data.draw(st.lists(limit, min_size=1, max_size=6))
+    if q <= U64:
+        words = np.array(res, dtype=np.uint64)
+        with sweep_settings(data, rounds):
+            counts = paircorr._count_within_u64(words, q, limits)
+            assert counts == [paircorr._count_within_u64(words, q, [x])[0] for x in limits]
+    else:
+        counts = paircorr._count_within(res, q, limits)
+    # the literal count over pairs
+    assert counts == [
+        sum(1 for i in range(len(res)) for j in range(i + 1, len(res))
+            if min(res[j] - res[i], q - res[j] + res[i]) <= x)
+        for x in limits
+    ]
+    assert counts == [paircorr._count_within(res, q, [x])[0] for x in limits]
+
+
+@pytest.mark.parametrize("rounds, share", [x for x in SWEEPS if x[0] < 100])
+def test_all_residues_equal(rounds, share):
+    # the dense rounds stop at _DENSE_ROUNDS, so clustered input costs at most
+    # that many slice passes more than the rank search alone
+    n = 200_000
+    with sweep(rounds, share):
+        for q, r in [(U64, 0), (U64, U64 - 1), (97, 5)]:
+            res = np.full(n, r, dtype=np.uint64)
+            assert paircorr._count_within_u64(res, q, [-1, 0, q // 2 - 1]) == [
+                0, n * (n - 1) // 2, n * (n - 1) // 2]

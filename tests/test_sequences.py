@@ -180,6 +180,16 @@ def test_classic_families():
         classic("identity", 0)
 
 
+@pytest.mark.parametrize("n, d", [(127, 9), (128, 9), (129, 9), (1, 1), (50, 1),
+                                  (1000, 2), (3000, 5), (2000, 6), (2097151, 3)])
+def test_power_family_on_both_sides_of_int64(n, d):
+    # 128**9 = 2**63: up to n = 127 the powers are built in int64, from 128 on
+    # as Python ints; both must give the same Python ints
+    elements = classic("power", n, d).elements
+    assert elements == [k**d for k in range(1, n + 1)]
+    assert all(type(x) is int for x in elements[-3:])
+
+
 def test_primes_against_reference_count():
     # pi(10^4) = 1229 is a classical table value
     primes = classic("primes", 1229).elements
