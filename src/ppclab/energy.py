@@ -366,29 +366,16 @@ def _range_increments(state: _KeyPass, slices) -> np.ndarray:
 def _uncertified(state: _KeyPass, p, q, firsts, lengths) -> np.ndarray:
     """A mask over the repeated runs (pairs p -> q, run by run from
     ``firsts``): the runs whose differences are not all proven equal.  A
-    pair in the position class of its run's first pair (both inside one
-    segment each, or both from one segment to the same other) has the
-    first's difference; every other pair is compared with the first under
-    the further moduli."""
+    pair's position class is -1 when it lies inside one segment and
+    (segment of p) << 32 | (segment of q) otherwise.  A pair in the class of
+    its run's first pair has the first's difference; every other pair is
+    compared with the first under the further moduli."""
     sp, sq = state.segments[p], state.segments[q]
-    inside = sp == sq
-    # neighbours in one run and one class prove nothing new: a run whose
-    # neighbours all share their class is certified as a whole
-    changes = np.zeros(len(p), dtype=bool)
-    np.not_equal(sp[1:], sp[:-1], out=changes[1:])
-    changes[1:] |= sq[1:] != sq[:-1]
-    changes[1:] &= ~(inside[1:] & inside[:-1])
-    changes[firsts] = False
-    failed = np.logical_or.reduceat(changes, firsts)
-    open_runs = np.flatnonzero(failed)
-    if not open_runs.size:
-        return failed
-    lengths, starts = lengths[open_runs], firsts[open_runs]
-    first = np.repeat(starts, lengths)
-    pairs = np.arange(len(first)) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    differs = (sp[pairs] != sp[first]) | (sq[pairs] != sq[first])
-    differs &= ~(inside[pairs] & inside[first])
-    pairs, first = pairs[differs], first[differs]
+    classes = sp.astype(np.int64) << 32 | sq
+    classes[sp == sq] = -1
+    pairs = np.flatnonzero(classes != np.repeat(classes[firsts], lengths))
+    runs = np.searchsorted(firsts, pairs, side="right") - 1
+    first = firsts[runs]
     # each pair's difference mod m against its run's first, both taken in
     # (-m, m): they agree mod m exactly when they differ by 0 or +-m
     r = state.residues
@@ -396,8 +383,8 @@ def _uncertified(state: _KeyPass, p, q, firsts, lengths) -> np.ndarray:
     d -= r[q[first]] - r[p[first]]
     np.abs(d, out=d)
     mismatch = ((d != 0) & (d != state.moduli)).any(axis=1)
-    failed[open_runs] = False
-    failed[np.searchsorted(firsts, first[mismatch])] = True
+    failed = np.zeros(len(lengths), dtype=bool)
+    failed[runs[mismatch]] = True
     return failed
 
 
@@ -509,9 +496,6 @@ def energy_scaling(
     """
     params = seq.params
     levels = sorted(set(levels))
-    for j in levels:
-        if not (1 <= j <= params.j_max):
-            raise ValueError(f"level {j} outside built range 1..{params.j_max}")
     ns = [seq.checkpoint(j) for j in levels]
     check_pair_budget(ns, max_pairs)
     energies = _energies(seq.elements, ns)

@@ -48,12 +48,6 @@ _THETA_MARGIN = 1.05
 _MAX_ILOG_DEPTH = 4  # log_5(x) > 0 needs x > e^e^e^e, which overflows doubles
 
 
-def _iterated_log(x: ArrayLike, depth: int) -> ArrayLike:
-    for _ in range(depth):
-        x = np.log(x)
-    return x
-
-
 def _smallest_dyadic_above(raw, margin: float) -> float:
     """Smallest power of two where ``raw`` is defined and exceeds ``margin``."""
     for k in range(0, 1024):

@@ -23,13 +23,13 @@ system) the residues are a numpy uint64 array, sorted by ``np.sort`` and
 counted by successor gaps: each residue's first few circular successors
 are tested over contiguous slices, and ``np.searchsorted`` finds the rest
 only for residues whose window is not exhausted yet; for larger q they are
-Python ints, counted by a two-pointer sweep.
+a sorted list of Python ints, counted by rank with ``bisect``.
 
 One evaluator serves every caller: it takes a grid of prefix lengths N and
 window parameters s for one (sequence, alpha), checks the whole grid before
 any work, computes the residues of the longest prefix once, sorts each
-prefix once and counts every s (every limit of every cell) in one sweep of
-that sorted array.  ``pair_correlation`` is one cell of it,
+prefix once and counts every s (every limit of every cell) from that sorted
+array.  ``pair_correlation`` is one cell of it,
 ``divergence_probe`` one call over its levels, and ``monte_carlo_ppc`` one
 call per trial on elements it turned into uint64 words once.
 """
@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -197,26 +198,33 @@ def _words(elements: Sequence[int]) -> np.ndarray:
 
 
 def _count_within(sorted_res: list[int], q: int, limits: Sequence[int]) -> list[int]:
-    """Unordered pairs at circular distance <= limit, for each limit, via a
-    doubled-array two-pointer sweep.  Requires every limit < q/2 so each
-    pair is seen once; a negative limit counts none."""
+    """Unordered pairs at circular distance <= limit, for each limit, by rank.
+
+    For sorted residues r_0 <= ... <= r_(n-1) in [0, q) and 0 <= limit < q/2,
+    let split = #{i : r_i < q - limit}.  An anchor i < split pairs with the
+    later r_j <= r_i + limit: bisect_right(r, r_i + limit) - (i + 1) of
+    them.  An anchor i >= split pairs with all n - 1 - i later residues and
+    with the wrapped r_j <= r_i - (q - limit), which lie before it.  A pair's
+    two forward distances add up to q > 2 * limit, so each pair is counted
+    once, from the anchor it lies at most limit ahead of.  Summed:
+
+        count = sum over i < split of bisect_right(r, r_i + limit)
+                - split * (split + 1) / 2 + (n - split) * (n - split - 1) / 2
+                + sum over i >= split of bisect_right(r, r_i - (q - limit)).
+
+    A negative limit counts none."""
     n = len(sorted_res)
-    ext = sorted_res + [x + q for x in sorted_res]
     counts = []
     for limit in limits:
         if limit < 0:
             counts.append(0)
             continue
-        count = 0
-        j = 1
-        for i in range(n):
-            if j < i + 1:
-                j = i + 1
-            bound = sorted_res[i] + limit
-            while j < i + n and ext[j] <= bound:
-                j += 1
-            count += j - i - 1
-        counts.append(count)
+        top = q - limit
+        split = bisect_left(sorted_res, top)
+        wrapped = n - split
+        count = sum(bisect_right(sorted_res, r + limit) for r in islice(sorted_res, split))
+        count += sum(bisect_right(sorted_res, r - top) for r in sorted_res[split:])
+        counts.append(count + (wrapped * (wrapped - 1) - split * (split + 1)) // 2)
     return counts
 
 
@@ -235,11 +243,10 @@ def _rank_total(sorted_res: np.ndarray, needles: np.ndarray) -> int:
 def _search_rest(sorted_res: np.ndarray, q: int, limit: int, anchors: np.ndarray,
                  res: np.ndarray) -> int:
     """The sum over the ascending ``anchors`` i, with residues ``res``, of
-    #{k >= 1 : fwd(i, k) <= limit} (see :func:`_count_within_u64`), by
-    rank: an anchor with r_i + limit < q pairs with the later
-    r_j <= r_i + limit; one with r_i >= q - limit pairs with every later
-    residue and with the wrapped r_j <= r_i - (q - limit).  Neither bound
-    leaves [0, q), so no uint64 sum wraps."""
+    #{k >= 1 : fwd(i, k) <= limit} (see :func:`_count_within_u64`), by the
+    rank identity of :func:`_count_within` restricted to these anchors.
+    Neither bound, r_i + limit or r_i - (q - limit), leaves [0, q), so no
+    uint64 sum wraps."""
     n = len(sorted_res)
     top = q - limit
     split = len(res) if top == _U64_MODULUS else int(np.searchsorted(res, np.uint64(top)))
@@ -428,10 +435,9 @@ def pair_correlation(seq: SequenceLike, alpha: Alpha, n: int, s: SLike) -> Fract
     O(n log n) via sorting the residues p * a mod q of alpha = p/q: when
     q <= 2**64 they are a uint64 array counted by successor gaps, with
     ``np.searchsorted`` for the residues with more than a few neighbours in
-    the window, otherwise a list of Python ints counted by a two-pointer
-    sweep.  In
-    fixed-point mode a comparison landing inside the guard window raises
-    :class:`PrecisionError`.
+    the window, otherwise a sorted list of Python ints counted by rank with
+    ``bisect``.  In fixed-point mode a comparison landing inside the guard
+    window raises :class:`PrecisionError`.
     """
     s = Fraction(s)
     return _statistics(as_elements(seq), alpha, [n], [s])[n, s]

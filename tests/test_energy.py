@@ -10,6 +10,7 @@ additionally checked against the closed form.
 
 import random
 
+import numpy as np
 import pytest
 
 from ppclab import energy
@@ -162,6 +163,33 @@ def test_segments_stop_short_of_half_m0():
         assert energy._energies(a, [4, 1, 3, 4]) == [28, 1, 15, 28]
 
 
+def test_runs_are_certified_by_the_class_of_their_first_pair():
+    # six elements in segments 0, 0, 1, 1, 2, 3 with the residues of
+    # y = 0, 1, 10, 12, 20, 21 under two further moduli; each run lists its
+    # pairs p -> q, first pair first
+    ys = [0, 1, 10, 12, 20, 21]
+    moduli = [7, 11]
+    state = energy._KeyPass(
+        rho=None, ys=ys, cells=None, n_cells=1,
+        segments=np.array([0, 0, 1, 1, 2, 3], dtype=np.int32),
+        moduli=np.array(moduli, dtype=np.int64),
+        residues=np.array([[y % m for m in moduli] for y in ys], dtype=np.int64),
+    )
+    runs = [
+        ([0, 2], [1, 3]),  # inside segments 0 and 1, differences 1 and 2
+        ([0, 3], [1, 4]),  # inside, then across 1 -> 2 with difference 8
+        ([0, 4], [1, 5]),  # inside, then across 2 -> 3 with difference 1
+        ([2, 3], [4, 4]),  # both across 1 -> 2, differences 10 and 8
+    ]
+    p = np.array([k for run in runs for k in run[0]])
+    q = np.array([j for run in runs for j in run[1]])
+    lengths = np.array([len(run[0]) for run in runs])
+    firsts = np.cumsum(lengths) - lengths
+    # the first and last runs disagree in their rows but never compare them
+    failed = energy._uncertified(state, p, q, firsts, lengths)
+    assert failed.tolist() == [False, True, False, False]
+
+
 def test_pair_cap_splits_key_ranges(monkeypatch):
     monkeypatch.setattr(energy, "_PAIR_CAP", 16)
     generated = []
@@ -289,3 +317,15 @@ def test_energy_scaling_validation_and_budget():
     n = seq.checkpoint(6)
     (row,) = energy_scaling(seq, levels=[6], max_pairs=n * n).rows
     assert row.n == n
+
+
+def test_energy_scaling_checks_levels_before_any_work(monkeypatch):
+    seq = build_blocks(GrowthFunction("ilog", r=1), 2 / 3, 1 / 3, 6)
+
+    def no_pass(*args):
+        raise AssertionError("energy pass reached")
+
+    monkeypatch.setattr(energy, "_energies", no_pass)
+    for level in (0, 7):
+        with pytest.raises(ValueError, match=rf"^level {level} outside built range 1\.\.6$"):
+            energy_scaling(seq, levels=[level, 3], max_pairs=1)

@@ -190,7 +190,7 @@ def test_uint64_sweep_at_the_top_of_the_range(q):
 
 @pytest.mark.parametrize("q_bits", [65, 128, 300])
 def test_wide_denominator_sweep_matches_naive(q_bits):
-    # q > 2**64 takes the Python-int sweep
+    # q > 2**64 takes the Python-int rank count
     rng = random.Random(q_bits)
     q = (1 << (q_bits - 1)) | rng.getrandbits(q_bits - 1) | 1
     alpha = Alpha.rational(rng.randrange(1, q), q)
@@ -209,8 +209,42 @@ def test_wide_denominator_sweep_matches_naive(q_bits):
         ), s
 
 
+def circular_pairs_within(res, q, limit):
+    return sum(
+        1
+        for i, a in enumerate(res)
+        for b in res[i + 1:]
+        if min((a - b) % q, (b - a) % q) <= limit
+    )
+
+
+def test_wide_rank_count_at_the_wrap():
+    # q just above 2**64 keeps the residues on the Python-int rank count
+    q = (1 << 64) + 13
+    count = paircorr._count_within
+    assert count([0, q - 1], q, [-1, 0, 1]) == [0, 0, 1]
+    assert count([17] * 1000, q, [0]) == [499_500]
+    assert count([q - 1] * 1000, q, [0, 1]) == [499_500, 499_500]
+    # for limit 5 the anchor q - 5 is the first that wraps (to 0, at distance
+    # 5) and q - 6 the last that only looks ahead
+    limit = 5
+    res = [0, 1, q - limit - 1, q - limit]
+    assert count(res, q, [limit - 1, limit, limit + 1]) == [2, 3, 5]
+    for lim in range(-1, 9):
+        assert count(res, q, [lim]) == [circular_pairs_within(res, q, lim)], lim
+    # several limits in one call equal one call per limit
+    rng = random.Random(64)
+    res = sorted(rng.randrange(q) for _ in range(150))
+    res += [res[0], res[-1], q - 1]
+    res.sort()
+    limits = [-1, 0, 1 << 58, 1 << 60, 1 << 62, q // 2 - 1, 1 << 60]
+    together = count(res, q, limits)
+    assert together == [count(res, q, [lim])[0] for lim in limits]
+    assert together == [circular_pairs_within(res, q, lim) for lim in limits]
+
+
 def test_wide_fixed_point_matches_rational():
-    # bits > 64 keeps the fixed-point residues on the Python-int sweep
+    # bits > 64 keeps the fixed-point residues on the Python-int rank count
     rng = random.Random(128)
     bits, guard = 128, 64
     fixed = Alpha.fixed(rng.getrandbits(bits) | 1, bits, guard)
