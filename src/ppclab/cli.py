@@ -265,13 +265,8 @@ _NOTES_KEY = "notes"
 
 
 def _parse_raw(name: str, raw: dict[str, str]) -> dict[str, object]:
-    schema = EXPERIMENTS[name]
-    known = {p.key for p in schema}
-    for key in raw:
-        if key not in known and key != _NOTES_KEY:
-            raise ConfigError(f"unknown key {key!r} for experiment {name!r}")
     values: dict[str, object] = {}
-    for p in schema:
+    for p in EXPERIMENTS[name]:
         tok = raw.get(p.key, p.default)
         if tok is None:
             if p.required:
@@ -282,8 +277,6 @@ def _parse_raw(name: str, raw: dict[str, str]) -> dict[str, object]:
                 values[p.key] = p.parse(tok)
             except ConfigError as exc:
                 raise ConfigError(f"{p.key}: {exc}") from None
-    if _NOTES_KEY in raw:
-        values[_NOTES_KEY] = raw[_NOTES_KEY]
     return values
 
 

@@ -171,9 +171,13 @@ def _dilation(alpha: Alpha, elements: Sequence[int]) -> tuple[int, int]:
 
 
 def _residues(alpha: Alpha, elements: Sequence[int]) -> tuple[list[int], int]:
-    """The residues p * x mod q of alpha = p/q, one per element, and q."""
+    """The residues p * x mod q of alpha = p/q, one per element, and q.  A
+    power-of-two q takes them by mask, which is x mod q also for negative x."""
     p, q = _dilation(alpha, elements)
-    return [(p * (x % q)) % q for x in elements], q
+    if q & (q - 1):
+        return [(p * (x % q)) % q for x in elements], q
+    mask = q - 1
+    return [(p * x) & mask for x in elements], q
 
 
 # residue moduli up to this size take the uint64 sweep
@@ -183,9 +187,6 @@ _SEARCH_CHUNK = 1 << 16
 # successors per anchor the uint64 sweep tests over contiguous slices before
 # it searches for the rest (2, 3, 4, 5 and 8 measured; 4 and 5 were fastest)
 _DENSE_ROUNDS = 4
-# a block whose first round leaves more than this share of its anchors within
-# the limit goes to the search at once
-_CLUSTERED_SHARE = 0.875
 
 
 def _words(elements: Sequence[int]) -> np.ndarray:
@@ -228,71 +229,45 @@ def _count_within(sorted_res: list[int], q: int, limits: Sequence[int]) -> list[
     return counts
 
 
-def _rank_total(sorted_res: np.ndarray, needles: np.ndarray) -> int:
-    """The sum over sorted needles x of #{j : r_j <= x}.  The needles land
-    between the ranks of the first and the last one, so only that stretch
-    of the array is searched."""
-    if not len(needles):
-        return 0
-    first = int(np.searchsorted(sorted_res, needles[0], side="right"))
-    last = int(np.searchsorted(sorted_res, needles[-1], side="right"))
-    ranks = np.searchsorted(sorted_res[first:last], needles, side="right")
-    return int(ranks.sum()) + first * len(needles)
-
-
-def _search_rest(sorted_res: np.ndarray, q: int, limit: int, anchors: np.ndarray,
-                 res: np.ndarray) -> int:
-    """The sum over the ascending ``anchors`` i, with residues ``res``, of
-    #{k >= 1 : fwd(i, k) <= limit} (see :func:`_count_within_u64`), by the
-    rank identity of :func:`_count_within` restricted to these anchors.
-    Neither bound, r_i + limit or r_i - (q - limit), leaves [0, q), so no
-    uint64 sum wraps."""
+def _search_rest(sorted_res: np.ndarray, q: int, limit: int, anchors: np.ndarray) -> int:
+    """The sum over the ascending ``anchors`` i of #{k >= 1 : fwd(i, k) <=
+    limit} (see :func:`_count_within_u64`), by the rank identity of
+    :func:`_count_within` restricted to these anchors.  Neither bound,
+    r_i + limit or r_i - (q - limit), leaves [0, q), so no uint64 sum wraps."""
     n = len(sorted_res)
     top = q - limit
-    split = len(res) if top == _U64_MODULUS else int(np.searchsorted(res, np.uint64(top)))
+    res = sorted_res[anchors]
+    split = int(np.searchsorted(res, np.uint64(top - 1), side="right"))  # r_i < top
     direct, wrapped = anchors[:split], anchors[split:]
-    total = _rank_total(sorted_res, res[:split] + np.uint64(limit)) - int(direct.sum()) - split
+    ranks = np.searchsorted(sorted_res, res[:split] + np.uint64(limit), side="right")
+    total = int(ranks.sum()) - int(direct.sum()) - split
     if len(wrapped):
         total += (n - 1) * len(wrapped) - int(wrapped.sum())
-        total += _rank_total(sorted_res, res[split:] - np.uint64(top))
+        ranks = np.searchsorted(sorted_res, res[split:] - np.uint64(top), side="right")
+        total += int(ranks.sum())
     return total
 
 
-def _within(step: tuple[np.ndarray, np.ndarray], q: int, limit: int) -> np.ndarray:
-    """Which anchors of a block have their k-th successor within ``limit``,
-    from that round's (ahead, back) distances: ahead <= limit for a direct
-    successor, back >= q - limit for a wrapped one."""
-    ahead, back = step
-    within = ahead <= np.uint64(limit)
-    if len(back):
-        top = q - limit
-        wrapped = back >= np.uint64(top) if top < _U64_MODULUS else np.zeros(len(back), bool)
-        within = np.concatenate([within, wrapped])
-    return within
-
-
-def _count_block(sorted_res: np.ndarray, q: int, limit: int, lo: int, hi: int,
-                 steps: list) -> int:
-    """The sum over the anchors lo <= i < hi of #{k : fwd(i, k) <= limit},
-    filling ``steps`` with the block's successor distances as rounds need them."""
+def _count_block(sorted_res: np.ndarray, q: int, limit: int, lo: int, hi: int) -> int:
+    """The sum over the anchors lo <= i < hi of #{k : fwd(i, k) <= limit}."""
     n = len(sorted_res)
+    rounds = min(_DENSE_ROUNDS, n - 1)
+    if not rounds:
+        return _search_rest(sorted_res, q, limit, np.arange(lo, hi))
+    # back >= q - limit, as back > q - limit - 1 so the bound fits a uint64
+    # also at q = 2**64 with limit 0, where no wrapped successor is within
+    ahead_max, back_min = np.uint64(limit), np.uint64(q - limit - 1)
     count = 0
-    for k in range(1, min(_DENSE_ROUNDS, n - 1) + 1):
-        if len(steps) < k:
-            mid = max(lo, min(hi, n - k))  # anchors from mid on wrap
-            steps.append((sorted_res[lo + k:mid + k] - sorted_res[lo:mid],
-                          sorted_res[mid:hi] - sorted_res[mid + k - n:hi + k - n]))
-        within = _within(steps[k - 1], q, limit)
-        live = int(np.count_nonzero(within))
-        if k == 1 and live > _CLUSTERED_SHARE * (hi - lo):
-            break  # clustered: rank every anchor of the block
+    for k in range(1, rounds + 1):
+        mid = max(lo, min(hi, n - k))  # anchors from mid on wrap
+        ahead = sorted_res[lo + k:mid + k] - sorted_res[lo:mid] <= ahead_max
+        back = sorted_res[mid:hi] - sorted_res[mid + k - n:hi + k - n] > back_min
+        live = int(np.count_nonzero(ahead)) + int(np.count_nonzero(back))
         count += live
         if not live or k == n - 1:
             return count
-        if k == _DENSE_ROUNDS:
-            alive = np.flatnonzero(within) + lo
-            return count - k * live + _search_rest(sorted_res, q, limit, alive, sorted_res[alive])
-    return _search_rest(sorted_res, q, limit, np.arange(lo, hi), sorted_res[lo:hi])
+    alive = np.concatenate([np.flatnonzero(ahead) + lo, np.flatnonzero(back) + mid])
+    return count - rounds * live + _search_rest(sorted_res, q, limit, alive)
 
 
 def _count_within_u64(sorted_res: np.ndarray, q: int, limits: Sequence[int]) -> list[int]:
@@ -308,25 +283,20 @@ def _count_within_u64(sorted_res: np.ndarray, q: int, limits: Sequence[int]) -> 
     r_(i+k) - r_i <= limit, and for a wrapped successor back = r_i - r_j
     >= q - limit, so a full turn (r_i = r_j at q = 2**64) never wraps to 0.
 
-    The anchors go in blocks of ``_SEARCH_CHUNK``, and every limit of the
-    sorted array is counted in one sweep.  The first ``_DENSE_ROUNDS``
-    successors of a block are tested over contiguous slices; only anchors
-    whose last tested successor is still within the limit finish by rank
-    (:func:`_search_rest`).  A block goes to rank at once when its first
-    round leaves more than ``_CLUSTERED_SHARE`` of its anchors within:
-    clustered residues (small q, or many equal residues).  On uniform
-    residues that share is about 1 - e**(-s) at the window s/N, 63 % at
-    s = 1, and under 2 % are still within after four rounds.
+    Each limit is its own pass over the anchors, in blocks of
+    ``_SEARCH_CHUNK``.  The first ``_DENSE_ROUNDS`` successors of a block
+    are tested over contiguous slices and counted; only the anchors whose
+    last tested successor is still within the limit finish by rank
+    (:func:`_search_rest`).  On uniform residues about 1 - e**(-s) of the
+    anchors pass the first round at the window s/N, 63 % at s = 1, and
+    under 2 % are still within after four rounds.
     """
     n = len(sorted_res)
-    wanted = sorted({limit for limit in limits if limit >= 0})
-    totals = dict.fromkeys(wanted, 0)
-    for lo in range(0, n, _SEARCH_CHUNK):
-        hi = min(lo + _SEARCH_CHUNK, n)
-        steps = []  # (ahead, back) distances of the k-th successors, k = 1, 2, ...
-        for limit in wanted:
-            totals[limit] += _count_block(sorted_res, q, limit, lo, hi, steps)
-    return [totals.get(limit, 0) for limit in limits]
+    return [
+        sum(_count_block(sorted_res, q, limit, lo, min(lo + _SEARCH_CHUNK, n))
+            for lo in range(0, n, _SEARCH_CHUNK)) if limit >= 0 else 0
+        for limit in limits
+    ]
 
 
 def _grid(length: int, ns: Iterable[int], s_values: Iterable[SLike]
@@ -389,10 +359,10 @@ def _statistics(
     with 2s >= n covers the whole circle and needs none).  The residues of
     that prefix are computed once: uint64 when q <= 2**64, from ``words``
     (:func:`_words` of the elements, when the caller has them) for
-    power-of-two q; Python ints above 2**64.  Each shorter prefix is sorted
-    as a copy, the longest in place, and one sweep of that sorted array
-    counts every limit of every s; the cells then raise their
-    ``PrecisionError`` in (n, s) order.
+    power-of-two q; Python ints above 2**64, by mask for power-of-two q.
+    Each shorter prefix is sorted as a copy, the longest in place, and every
+    limit of every s is counted from that sorted array; the cells then raise
+    their ``PrecisionError`` in (n, s) order.
     """
     ns, s_values = _grid(len(elements), ns, s_values)
     out = {(n, s): Fraction(n - 1) for n in ns for s in s_values if 2 * s >= n}
@@ -455,7 +425,8 @@ def pair_correlation_naive(seq: SequenceLike, alpha: Alpha, n: int, s: SLike) ->
     if alpha.mode != "rational":
         raise ValueError("the oracle route is defined for rational alpha only")
     elements, s = _prepare(seq, n, s)
-    res, q = _residues(alpha, elements)
+    p, q = alpha.num, alpha.den
+    res = [(p * (x % q)) % q for x in elements]
     count = 0
     for i in range(n):
         ri = res[i]

@@ -209,6 +209,26 @@ def test_wide_denominator_sweep_matches_naive(q_bits):
         ), s
 
 
+@pytest.mark.parametrize("q_bits", [65, 100, 300])
+def test_masked_residues_of_negative_elements(q_bits):
+    # a power of two q > 2**64 takes the residues by mask, which must reduce
+    # a negative element to x mod q, as the oracle's literal modulo does
+    q = 1 << q_bits
+    rng = random.Random(q_bits)
+    alpha = Alpha.rational(rng.getrandbits(q_bits) | 1, q)
+    bases = [rng.randrange(q) for _ in range(20)] + [0, 1, q - 1]
+    # b - q and b - 3q share b's residue from below 0, b + q from above q
+    elements = sorted({b + m * q for b in bases for m in (-3, -1, 0, 1)} | {-1, -2})
+    n = len(elements)
+    for s in (Fraction(1, 2), 1, 3):
+        assert pair_correlation(elements, alpha, n, s) == pair_correlation_naive(
+            elements, alpha, n, s
+        ), s
+    for x in elements:
+        if x % q:
+            assert frac_mult(alpha, -x) == 1 - frac_mult(alpha, x), x
+
+
 def circular_pairs_within(res, q, limit):
     return sum(
         1

@@ -2,12 +2,13 @@
 grid callers (Monte Carlo, divergence probe) agree with one-cell calls.
 
 Moduli cover both production sweeps (uint64 for q <= 2**64, Python ints
-above) and their edges: q = 1 and 2, powers of two, the Mersenne prime
-2**61 - 1, q = 2**64 - 59 (where r + limit wraps past 2**64) and q = 2**64.
-Residues include 0, q - 1 and repeats; the window runs from limit = 0 to
-the largest limit below q/2.  The uint64 sweep also runs with its dense
-successor rounds patched to none (rank search only), one, and more than n
-with no switch to the search (dense rounds only).
+above) and their edges: q = 1 and 2, powers of two up to 2**64 and above it
+(where the residues are taken by mask), the Mersenne prime 2**61 - 1,
+q = 2**64 - 59 (where r + limit wraps past 2**64) and q = 2**64.  Residues
+include 0, q - 1 and repeats; the window runs from limit = 0 to the largest
+limit below q/2.  The uint64 sweep also runs with its dense successor rounds
+patched to none (rank search only), one, and more than n (dense rounds
+only).
 """
 
 import math
@@ -40,6 +41,7 @@ MODULI = {
     "1": st.just(1),
     "2": st.just(2),
     "2^k": st.integers(2, 64).map(lambda k: 1 << k),
+    "2^k>2^64": st.integers(65, 300).map(lambda k: 1 << k),
     "2^61-1": st.just((1 << 61) - 1),
     "2^64-59": st.just(U64 - 59),
     "2^64": st.just(U64),
@@ -116,24 +118,22 @@ S_VALUES = st.one_of(st.just(Fraction(0)), st.fractions(0, 4, max_denominator=8)
 # -- the uint64 sweep's dense successor rounds --------------------------------------
 #
 # _DENSE_ROUNDS = 0 sends every anchor to the rank search; 1 tests one
-# successor densely; more than n with the clustered switch off (share 1.0)
-# counts by dense rounds alone.  The search chunk is drawn too, so blocks of
-# 1 and 3 anchors put wrapped successors in several blocks.
+# successor densely; more than n counts by dense rounds alone.  The search
+# chunk is drawn too, so blocks of 1 and 3 anchors put wrapped successors in
+# several blocks.
 
 ROUNDS = [0, 1, 1 << 20]
-SHARES = [paircorr._CLUSTERED_SHARE, 1.0]
-# every (rounds, share) pair, the default rounds included, for the pinned cases
-SWEEPS = [(r, share) for r in ROUNDS + [paircorr._DENSE_ROUNDS] for share in SHARES]
+# the default rounds too, for the pinned cases
+SWEEPS = ROUNDS + [paircorr._DENSE_ROUNDS]
 
 
-def sweep(rounds, share, chunk=paircorr._SEARCH_CHUNK):
-    return mock.patch.multiple(paircorr, _DENSE_ROUNDS=rounds, _CLUSTERED_SHARE=share,
-                               _SEARCH_CHUNK=chunk)
+def sweep(rounds, chunk=paircorr._SEARCH_CHUNK):
+    return mock.patch.multiple(paircorr, _DENSE_ROUNDS=rounds, _SEARCH_CHUNK=chunk)
 
 
 def sweep_settings(data, rounds, chunks=CHUNKS):
     """The patches of one drawn uint64 sweep configuration."""
-    return sweep(rounds, data.draw(st.sampled_from(SHARES)), data.draw(st.sampled_from(chunks)))
+    return sweep(rounds, data.draw(st.sampled_from(chunks)))
 
 
 def assert_cell(seq, alpha, n, s, r):
@@ -254,23 +254,23 @@ def test_three_routes_agree_with_dense_rounds(rounds, data):
         assert_three_routes(*instance)
 
 
-@pytest.mark.parametrize("rounds, share", SWEEPS)
-def test_full_turn_at_2_64_is_counted_once(rounds, share):
+@pytest.mark.parametrize("rounds", SWEEPS)
+def test_full_turn_at_2_64_is_counted_once(rounds):
     # both residues are 0 mod 2**64: the pair is at distance 0 one way and a
     # full turn the other, which a wrapping uint64 difference would make 0 too
     alpha = Alpha.rational(12345, U64)
-    with sweep(rounds, share):
+    with sweep(rounds):
         assert pair_correlation([0, U64], alpha, 2, 0) == 1
         assert pair_correlation([0, U64, 2 * U64], alpha, 3, 0) == 2
         assert paircorr._count_within_u64(np.zeros(2, np.uint64), U64, [0]) == [1]
 
 
-@pytest.mark.parametrize("rounds, share", SWEEPS)
-def test_wrapped_pair_below_2_64(rounds, share):
+@pytest.mark.parametrize("rounds", SWEEPS)
+def test_wrapped_pair_below_2_64(rounds):
     # residues 0 and q - 1 are one unit apart across the wrap
     q = U64 - 59
     res = np.array([0, q - 1], dtype=np.uint64)
-    with sweep(rounds, share):
+    with sweep(rounds):
         assert paircorr._count_within_u64(res, q, [0, 1, 2]) == [0, 1, 1]
         assert pair_correlation([0, q - 1], Alpha.rational(1, q), 2, Fraction(2, q)) == 1
         assert pair_correlation([0, q - 1], Alpha.rational(1, q), 2, Fraction(1, q)) == 0
@@ -301,12 +301,12 @@ def test_one_sweep_of_several_limits_equals_one_per_limit(rounds, data):
     assert counts == [paircorr._count_within(res, q, [x])[0] for x in limits]
 
 
-@pytest.mark.parametrize("rounds, share", [x for x in SWEEPS if x[0] < 100])
-def test_all_residues_equal(rounds, share):
+@pytest.mark.parametrize("rounds", [x for x in SWEEPS if x < 100])
+def test_all_residues_equal(rounds):
     # the dense rounds stop at _DENSE_ROUNDS, so clustered input costs at most
     # that many slice passes more than the rank search alone
     n = 200_000
-    with sweep(rounds, share):
+    with sweep(rounds):
         for q, r in [(U64, 0), (U64, U64 - 1), (97, 5)]:
             res = np.full(n, r, dtype=np.uint64)
             assert paircorr._count_within_u64(res, q, [-1, 0, q // 2 - 1]) == [
