@@ -468,6 +468,8 @@ def _probe_alpha(p: dict[str, object], seq: BlockSequence, system: RegularSystem
         index = _p_int(tokens.pop("rank"))
     except KeyError as exc:
         raise ConfigError(f"probe.system needs token {exc}") from None
+    if index < 0:
+        raise ConfigError(f"probe.system rank must be >= 0, got {index}")
     target = _p_int(tokens.pop("target")) if "target" in tokens else max(levels)
     eta_tok = tokens.pop("eta", None)
     if tokens:

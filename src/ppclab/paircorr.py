@@ -29,9 +29,12 @@ One evaluator serves every caller: it takes a grid of prefix lengths N and
 window parameters s for one (sequence, alpha), checks the whole grid before
 any work, computes the residues of the longest prefix once, sorts each
 prefix once and counts every s (every limit of every cell) from that sorted
-array.  ``pair_correlation`` is one cell of it,
-``divergence_probe`` one call over its levels, and ``monte_carlo_ppc`` one
-call per trial on elements it turned into uint64 words once.
+array.  The residues come from one step, ``_residues``, in the layout the
+count takes; the count does not look behind it.  ``pair_correlation`` is
+one cell of the evaluator, ``divergence_probe`` one call over its levels,
+and ``monte_carlo_ppc`` one call per trial on the uint64 words (x mod
+2**64) it made of the elements once, which are all a residue under its
+dilations k/2**64 reads.
 """
 
 from __future__ import annotations
@@ -139,15 +142,6 @@ class Alpha:
         return cls.rational(Fraction(text))
 
 
-def _fixed_width_check(alpha: Alpha, a: int) -> None:
-    need = a.bit_length() + alpha.guard
-    if need > alpha.bits:
-        raise PrecisionError(
-            f"multiplier needs {need} mantissa bits (value bits + guard) "
-            f"but alpha carries {alpha.bits}; use rational mode"
-        )
-
-
 def frac_mult(alpha: Alpha, a: int) -> Fraction:
     """Fractional part of alpha * a.
 
@@ -156,28 +150,23 @@ def frac_mult(alpha: Alpha, a: int) -> Fraction:
     same computation with denominator 2**bits and a certified error below
     2**-guard, enforced via the width precondition.
     """
-    (r,), q = _residues(alpha, [int(a)])
-    return Fraction(r, q)
+    a = int(a)
+    p, q = _dilation(alpha, [a])
+    return Fraction(p * (a % q) % q, q)
 
 
 def _dilation(alpha: Alpha, elements: Sequence[int]) -> tuple[int, int]:
-    """p and q with alpha = p/q, once every element passes the fixed-point
-    width precondition."""
+    """p and q with alpha = p/q, once the widest |x| passes the fixed-point
+    width precondition bits(|x|) + guard <= bits."""
     if alpha.mode == "rational":
         return alpha.num, alpha.den
-    for x in elements:
-        _fixed_width_check(alpha, abs(int(x)))
+    need = int(max(map(abs, elements), default=0)).bit_length() + alpha.guard
+    if need > alpha.bits:
+        raise PrecisionError(
+            f"multiplier needs {need} mantissa bits (value bits + guard) "
+            f"but alpha carries {alpha.bits}; use rational mode"
+        )
     return alpha.mantissa, 1 << alpha.bits
-
-
-def _residues(alpha: Alpha, elements: Sequence[int]) -> tuple[list[int], int]:
-    """The residues p * x mod q of alpha = p/q, one per element, and q.  A
-    power-of-two q takes them by mask, which is x mod q also for negative x."""
-    p, q = _dilation(alpha, elements)
-    if q & (q - 1):
-        return [(p * (x % q)) % q for x in elements], q
-    mask = q - 1
-    return [(p * x) & mask for x in elements], q
 
 
 # residue moduli up to this size take the uint64 sweep
@@ -190,12 +179,40 @@ _DENSE_ROUNDS = 4
 
 
 def _words(elements: Sequence[int]) -> np.ndarray:
-    """Every element mod 2**64 as a uint64 word.  That is all the residues
-    need under a power-of-two q <= 2**64, since q divides 2**64."""
+    """Every element mod 2**64 as a uint64 word; a uint64 array is returned
+    as it is.  That is all the residues need under a power-of-two q <= 2**64,
+    since q divides 2**64."""
+    if isinstance(elements, np.ndarray) and elements.dtype == np.uint64:
+        return elements
     try:  # elements in [0, 2**64) convert as they are
         return np.fromiter(elements, dtype=np.uint64, count=len(elements))
     except OverflowError:
-        return np.array([x & (_U64_MODULUS - 1) for x in elements], dtype=np.uint64)
+        mask = _U64_MODULUS - 1
+        return np.fromiter((x & mask for x in elements), dtype=np.uint64,
+                           count=len(elements))
+
+
+def _residues(alpha: Alpha, elements: Sequence[int]) -> tuple[np.ndarray | list[int], int]:
+    """The residues p * x mod q of alpha = p/q, one per element, and q.
+
+    They come in the layout the count takes: a uint64 array when q <= 2**64,
+    a list of Python ints above.  A power-of-two q takes them by mask, which
+    is x mod q also for negative x; any other q by (p * (x % q)) % q.  A
+    uint64 array of :func:`_words` may stand in for the elements only under
+    a rational alpha with power-of-two q <= 2**64, where x mod 2**64 is all
+    a residue reads (the fixed-point width check reads the elements)."""
+    p, q = _dilation(alpha, elements)
+    if q & (q - 1):
+        res = [(p * (x % q)) % q for x in elements]
+    elif q > _U64_MODULUS:
+        mask = q - 1
+        res = [(p * x) & mask for x in elements]
+    else:
+        # q divides 2**64, so the product may wrap mod 2**64 before the mask
+        res = _words(elements) * np.uint64(p)
+        res &= np.uint64(q - 1)
+        return res, q
+    return (np.array(res, dtype=np.uint64) if q <= _U64_MODULUS else res), q
 
 
 def _count_within(sorted_res: list[int], q: int, limits: Sequence[int]) -> list[int]:
@@ -350,19 +367,19 @@ def _statistics(
     alpha: Alpha,
     ns: Iterable[int],
     s_values: Iterable[SLike],
-    words: np.ndarray | None = None,
 ) -> dict[tuple[int, Fraction], Fraction]:
     """The statistic at every (n, s) of the grid, from one residue pass.
 
     Every n and s is checked before any work, and the fixed-point width
     check runs once, over the longest prefix that needs counting (a cell
     with 2s >= n covers the whole circle and needs none).  The residues of
-    that prefix are computed once: uint64 when q <= 2**64, from ``words``
-    (:func:`_words` of the elements, when the caller has them) for
-    power-of-two q; Python ints above 2**64, by mask for power-of-two q.
-    Each shorter prefix is sorted as a copy, the longest in place, and every
-    limit of every s is counted from that sorted array; the cells then raise
-    their ``PrecisionError`` in (n, s) order.
+    that prefix are computed once by :func:`_residues`, whose layout picks
+    the sort and the count: a uint64 array is sorted by ``np.sort`` and
+    counted by :func:`_count_within_u64`, a list of Python ints by
+    ``sorted`` and :func:`_count_within`.  Each shorter prefix is sorted as
+    a copy, the longest in place, and every limit of every s is counted from
+    that sorted array; the cells then raise their ``PrecisionError`` in
+    (n, s) order.
     """
     ns, s_values = _grid(len(elements), ns, s_values)
     out = {(n, s): Fraction(n - 1) for n in ns for s in s_values if 2 * s >= n}
@@ -370,18 +387,8 @@ def _statistics(
     if not counted:
         return out
     top = counted[-1]
-    prefix = elements if top == len(elements) else elements[:top]
-    q = alpha.denominator
-    u64 = q <= _U64_MODULUS
-    if u64 and not q & (q - 1):
-        # q divides 2**64, so the product may wrap mod 2**64 before the mask
-        p, q = _dilation(alpha, prefix)
-        res = (_words(prefix) if words is None else words[:top]) * np.uint64(p)
-        res &= np.uint64(q - 1)
-    else:
-        res, q = _residues(alpha, prefix)
-        if u64:
-            res = np.array(res, dtype=np.uint64)
+    res, q = _residues(alpha, elements if top == len(elements) else elements[:top])
+    u64 = isinstance(res, np.ndarray)
     count_within = _count_within_u64 if u64 else _count_within
     for n in counted:
         if n < top:
@@ -497,14 +504,17 @@ def exceptional_alpha_candidates(
     system: RegularSystemParams, j: int, limit: int | None = None
 ) -> list[Alpha]:
     """Reduced fractions p/q with q in the level-j denominator window,
-    ordered by denominator then numerator; optionally truncated."""
+    ordered by denominator then numerator; optionally truncated to the first
+    ``limit`` (0 gives none, a negative limit is refused)."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"candidate limit must be >= 0, got {limit}")
     out: list[Alpha] = []
     for q in system.denominator_range(j):
         for p in range(1, q):
+            if limit is not None and len(out) >= limit:
+                return out
             if math.gcd(p, q) == 1:
                 out.append(Alpha.rational(p, q))
-                if limit is not None and len(out) >= limit:
-                    return out
     return out
 
 
@@ -660,8 +670,9 @@ def monte_carlo_ppc(
     execution order.  The schedule and the s values are sorted and their
     repeats dropped, and rows are emitted sorted by (trial, n, s).  Every
     input is checked before any work.  The elements become uint64 words
-    (x mod 2**64) once per call; each trial multiplies them by its k and
-    answers every (n, s) from one sort per prefix.
+    (x mod 2**64) once per call, and every trial passes the words in place
+    of the elements: its q is 2**64, so x mod 2**64 is all a residue reads.
+    Each trial answers every (n, s) from one sort per prefix.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -673,7 +684,7 @@ def monte_carlo_ppc(
     rows = []
     for trial in range(trials):
         alpha = _trial_alpha(seed, trial)
-        stats = _statistics(elements, alpha, schedule, s_fracs, words)
+        stats = _statistics(words, alpha, schedule, s_fracs)
         rows += [
             MonteCarloRow(trial=trial, alpha=alpha, n=n, s=s, r=stats[n, s])
             for n in schedule

@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line interface: frozen printed examples,
 CSV column contracts, manifest hashes, determinism, and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ppclab.cli
 from ppclab.cli import main
@@ -295,3 +299,101 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "measure = 1/2" in proc.stdout
+
+
+@pytest.mark.parametrize("rank", ["-1", "-5"])
+def test_probe_refuses_a_negative_regular_system_rank(tmp_path, capsys, rank):
+    assert run_cli("probe", "--family", "blocks", "--f", "ilog(1)", "--beta", "0.7",
+                   "--gamma", "0.45", "--jmax", 8, "--levels", 8,
+                   "--alpha-from-regular-system", "j=8", f"rank={rank}",
+                   "--csv", tmp_path / "probe.csv") == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error") and "rank" in err
+    assert not (tmp_path / "probe.csv").exists()
+
+
+# -- fuzzing the evaluator's commands ---------------------------------------------------
+#
+# pc, probe and mc with flags drawn from small pools of valid and malformed
+# tokens: whatever the draw, main returns 0, 2, 3 or 4 and a refusal is one
+# line on stderr.  Each flag has a pool of valid tokens and one of malformed
+# ones (None leaves the flag out); a run takes valid tokens for all flags but
+# at most one, so most runs get past the parser.  The pools keep every run
+# small: classic families of at most 50 elements, blocks through level 8,
+# ranks up to 100, short level ranges.
+
+CLASSIC_FLAGS = {
+    "--family": (["identity", "power", "primes", "lacunary"], ["squares", None]),
+    "--seq-n": (["1", "7", "50"], ["0", "-3", "x", None]),
+    "--seq-param": ([None, "3"], ["0", "-2"]),
+}
+BLOCK_FLAGS = {
+    "--family": (["blocks"], ["squares", None]),
+    "--f": (["ilog(1)", "ilog(2)"], ["ilog(", None]),
+    "--beta": (["0.7", "2/3"], ["x", "2", None]),
+    "--gamma": (["0.45", "1/3"], ["2", None]),
+    "--jmax": (["8"], ["1", "5", "0", "-1", None]),
+}
+ALPHA = (["1/13", "5/97", "0.25", "fixed:12345:200:64"],
+         ["1/0", "nan", "fixed:1:8:8", "fixed:3:70", None])
+S = (["1", "1/2", "0", "3"], ["-1/2", "1/0", "x"])
+# the rank is the regular system's free index, so every draw mixes in bad ones
+SYSTEM = (
+    [f"j={j} rank={rank}{extra}" for j in (7, 8) for rank in (0, 3, 100, -1, -5, -100, "x")
+     for extra in ("", " target=8", " eta=1/31200")],
+    ["j=x rank=0", "j=-1 rank=0", "rank=0", "j=8", "j=8 rank=0 target=99",
+     "j=8 rank=0 target=x", "j=8 rank=0 eta=-1", "j=8 rank=0 eta=1/0", "j=8 rank=0 bogus=1",
+     "j=8 rank", "j=8 rank=0 rank=1", None],
+)
+COMMAND_FLAGS = {
+    "pc": {"--alpha": ALPHA, "--n": ([None, "1", "7"], ["0", "51", "-1"]), "--s": S},
+    "probe": {
+        "--levels": (["7..8", "8", "1..8", "3,5"], ["8..7", "", "0..2", "7..9", "x..2", None]),
+        "--s": S,
+        # exactly one source of alpha is valid; both or neither is malformed
+        "source": (["alpha", "system"], ["both", "neither"]),
+    },
+    "mc": {
+        "--trials": (["1", "2"], ["0", "-1", None]),
+        "--schedule": (["1", "7", "7,1,7"], ["0", "51", "-5", "", "x", None]),
+        "--s": (["1", "1/2,1", "0"], ["-1/2", "1,-1/2", "", None]),
+        "--seed": (["1", "0", "-7"], ["x", None]),
+    },
+}
+
+
+@st.composite
+def evaluator_argv(draw, command, out):
+    """The argv of one run of ``command``, its CSV (if any) under ``out``."""
+    pools = {**(BLOCK_FLAGS if command == "probe" or draw(st.booleans()) else CLASSIC_FLAGS),
+             **COMMAND_FLAGS[command]}
+    bad = draw(st.sampled_from([None] * len(pools) + list(pools)))
+    flags = {flag: draw(st.sampled_from(malformed if flag == bad else valid))
+             for flag, (valid, malformed) in pools.items()}
+    system = []
+    if command == "probe":
+        source = flags.pop("source")
+        if source != "system":
+            flags["--alpha"] = draw(st.sampled_from(ALPHA[0])) if source != "neither" else None
+        if source in ("system", "both"):
+            system = (draw(st.sampled_from(SYSTEM[0] + SYSTEM[1])) or "").split()
+    if command != "pc":
+        flags["--csv"] = str(out / f"{command}.csv")
+    # --flag=value, so that a value such as -1/2 is not read as a flag
+    argv = [command] + [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+    if system:  # a greedy flag: its tokens follow it one by one
+        argv += ["--alpha-from-regular-system", *system]
+    return argv
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_evaluator_commands_exit_with_a_code_and_one_line(tmp_path, command, data):
+    argv = data.draw(evaluator_argv(command, tmp_path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), argv
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())

@@ -334,6 +334,13 @@ def test_candidates_ordering_and_reduction():
     assert keys == sorted(keys)
 
 
+def test_candidates_limit_zero_and_negative():
+    assert exceptional_alpha_candidates(SYSTEM, 10, limit=0) == []
+    assert len(exceptional_alpha_candidates(SYSTEM, 10, limit=1)) == 1
+    with pytest.raises(ValueError, match="limit"):
+        exceptional_alpha_candidates(SYSTEM, 10, limit=-1)
+
+
 def test_rank_proxy_frozen():
     # ceil(q^2 / (25 pi^2)): 15^2 = 225 < 246.74 <= 16^2 = 256
     assert rank_of_denominator(13) == 1

@@ -1,4 +1,5 @@
-"""Property tests: the pair-correlation routes agree on small sets, and the
+"""Property tests: the pair-correlation routes agree on small sets, the
+residue step and the fixed-point width check keep their contracts, and the
 grid callers (Monte Carlo, divergence probe) agree with one-cell calls.
 
 Moduli cover both production sweeps (uint64 for q <= 2**64, Python ints
@@ -27,6 +28,7 @@ from ppclab.paircorr import (
     PrecisionError,
     RegularSystemParams,
     divergence_probe,
+    frac_mult,
     monte_carlo_ppc,
     pair_correlation,
     pair_correlation_naive,
@@ -96,6 +98,93 @@ def test_certified_fixed_point_equals_rational(data):
     except PrecisionError:
         return  # refused, not wrong
     assert r == pair_correlation_naive(elements, Alpha.rational(fixed.mantissa, 1 << bits), n, s)
+
+
+# -- the residue step -----------------------------------------------------------------
+#
+# _residues is the one place the evaluator takes residues.  It must equal the
+# literal (p * (x % q)) % q for every kind of modulus and for fixed point,
+# with negative elements and elements past 2**64, and hand the count a uint64
+# array exactly when q <= 2**64.  Under a power-of-two q <= 2**64 the uint64
+# words of the elements, which monte_carlo_ppc passes in their place, give the
+# same residues.
+
+FIXED = st.integers(2, 300).flatmap(lambda bits: st.builds(
+    Alpha.fixed, st.integers(0, (1 << bits) - 1), st.just(bits), st.integers(1, bits - 1)))
+
+
+def bounded_elements(bound):
+    """Integers x with |x| <= bound, including both ends and 2**64 +- 1."""
+    edges = [x for x in (U64 - 1, U64, U64 + 1) if x <= bound]
+    small = min(bound, 50)
+    pieces = [st.integers(-bound, bound), st.integers(-small, small),
+              st.sampled_from([bound, -bound] + edges + [-x for x in edges])]
+    return st.lists(st.one_of(*pieces), max_size=12)
+
+
+@pytest.mark.parametrize("kind", [*MODULI, "fixed"])
+@given(data=st.data())
+def test_residue_step_contract(kind, data):
+    if kind == "fixed":
+        alpha = data.draw(FIXED)
+        p, q = alpha.mantissa, 1 << alpha.bits
+        xs = data.draw(bounded_elements((1 << (alpha.bits - alpha.guard)) - 1))
+    else:
+        q = data.draw(MODULI[kind])
+        alpha = Alpha.rational(data.draw(st.integers(0, q - 1)), q)
+        p, q = alpha.num, alpha.den
+        xs = data.draw(bounded_elements(1 << 400))
+    res, q_out = paircorr._residues(alpha, xs)
+    assert q_out == q
+    assert isinstance(res, np.ndarray) == (q <= U64)
+    if q <= U64:
+        assert res.dtype == np.uint64
+    assert [int(r) for r in res] == [(p * (x % q)) % q for x in xs]
+    # the fixed-point width check reads the elements, so negative ones, whose
+    # words are 64 bits wide, take the words path under rational alpha only
+    if q <= U64 and not q & (q - 1) and (alpha.mode == "rational" or min(xs, default=0) >= 0):
+        words, q_words = paircorr._residues(alpha, paircorr._words(xs))
+        assert q_words == q and words.dtype == np.uint64
+        assert words.tolist() == res.tolist()
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last", "negated"])
+@given(data=st.data())
+def test_width_check_edge(where, data):
+    # the widest |x| decides: bits(max |x|) + guard = bits passes, one bit
+    # less of mantissa is refused, wherever the widest element sits and
+    # whatever its sign
+    width, guard = data.draw(st.integers(2, 200)), data.draw(st.integers(1, 64))
+    widest = data.draw(st.integers(1 << (width - 1), (1 << width) - 1))
+    narrow = (1 << (width - 1)) - 1
+    others = data.draw(st.lists(st.integers(-narrow, narrow), min_size=2, max_size=8))
+    at = {"first": 0, "middle": len(others) // 2, "last": len(others),
+          "negated": len(others) // 2}[where]
+    elements = others[:at] + [-widest if where == "negated" else widest] + others[at:]
+    n, s = len(elements), Fraction(1)
+    bits = width + guard
+    mantissa = data.draw(st.integers(0, (1 << bits) - 1))
+    try:
+        r = pair_correlation(elements, Alpha.fixed(mantissa, bits, guard), n, s)
+    except PrecisionError as exc:  # a guard-window refusal, not the width check
+        assert "mantissa bits" not in str(exc)
+    else:
+        assert r == pair_correlation_naive(elements, Alpha.rational(mantissa, 1 << bits), n, s)
+    narrower = Alpha.fixed(mantissa >> 1, bits - 1, guard)
+    with pytest.raises(PrecisionError, match="mantissa bits"):
+        pair_correlation(elements, narrower, n, s)
+    with pytest.raises(PrecisionError, match="mantissa bits"):
+        paircorr._residues(narrower, elements)
+
+
+@pytest.mark.parametrize("kind", MODULI)
+@given(data=st.data())
+def test_frac_mult_is_the_fractional_part(kind, data):
+    q = data.draw(MODULI[kind])
+    alpha = Alpha.rational(data.draw(st.integers(0, q - 1)), q)
+    a = data.draw(st.one_of(st.integers(-(1 << 400), 1 << 400), st.integers(-q - 2, q + 2),
+                            st.sampled_from([0, 1, -1, U64, -U64])))
+    assert frac_mult(alpha, a) == (alpha.value * a) % 1
 
 
 # -- one residue pass per (sequence, alpha) -----------------------------------------
