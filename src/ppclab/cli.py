@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from . import __version__
 from .energy import (
@@ -48,8 +48,8 @@ from .paircorr import (
     Alpha,
     PrecisionError,
     RegularSystemParams,
+    _candidate_at,
     divergence_probe,
-    exceptional_alpha_candidates,
     monte_carlo_ppc,
     pair_correlation,
     perturbed_alpha,
@@ -474,12 +474,7 @@ def _probe_alpha(p: dict[str, object], seq: BlockSequence, system: RegularSystem
     eta_tok = tokens.pop("eta", None)
     if tokens:
         raise ConfigError(f"unknown probe.system tokens: {sorted(tokens)}")
-    candidates = exceptional_alpha_candidates(system, j, limit=index + 1)
-    if index >= len(candidates):
-        raise ValueError(
-            f"regular system at level {j} has only {len(candidates)} candidates"
-        )
-    cand = candidates[index]
+    cand = _candidate_at(system, j, index)
     rank = rank_of_denominator(cand.den)
     if eta_tok is not None:
         eta = _p_fraction(eta_tok)
@@ -665,8 +660,17 @@ def parse_config(path: str) -> tuple[str, dict[str, str], str]:
 # -- entry point -----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as :class:`ConfigError`, so it ends like any
+    other config error: exit 2 and one line.  Subparsers take this class
+    too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ppclab",
         description="pair correlations of low-additive-energy sequences",
     )
@@ -698,9 +702,8 @@ def _dispatch(name: str, raw: dict[str, str], config_text: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = _build_parser().parse_args(argv)
         if ns.experiment == "run":
             name, raw, text = parse_config(ns.config)
             _dispatch(name, raw, text)

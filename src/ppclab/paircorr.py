@@ -34,7 +34,8 @@ count takes; the count does not look behind it.  ``pair_correlation`` is
 one cell of the evaluator, ``divergence_probe`` one call over its levels,
 and ``monte_carlo_ppc`` one call per trial on the uint64 words (x mod
 2**64) it made of the elements once, which are all a residue under its
-dilations k/2**64 reads.
+dilations k/2**64 reads; a classic family's int64 members are those words
+already, viewed without a copy.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 
 from .growth import GrowthFunction, ThetaFunction, psi
 from .energy import rep_counts
-from .sequences import BlockSequence, SequenceLike, as_elements
+from .sequences import BlockSequence, BudgetError, ClassicSequence, SequenceLike, as_elements
 
 __all__ = [
     "Alpha",
@@ -180,10 +181,11 @@ _DENSE_ROUNDS = 4
 
 def _words(elements: Sequence[int]) -> np.ndarray:
     """Every element mod 2**64 as a uint64 word; a uint64 array is returned
-    as it is.  That is all the residues need under a power-of-two q <= 2**64,
-    since q divides 2**64."""
-    if isinstance(elements, np.ndarray) and elements.dtype == np.uint64:
-        return elements
+    as it is and an int64 array is viewed as uint64 (two's complement is
+    already x mod 2**64), neither copied.  That is all the residues need
+    under a power-of-two q <= 2**64, since q divides 2**64."""
+    if isinstance(elements, np.ndarray) and elements.dtype in (np.uint64, np.int64):
+        return elements.view(np.uint64)
     try:  # elements in [0, 2**64) convert as they are
         return np.fromiter(elements, dtype=np.uint64, count=len(elements))
     except OverflowError:
@@ -518,6 +520,72 @@ def exceptional_alpha_candidates(
     return out
 
 
+# trial divisions the walk to one candidate may take: 2**22 of them on a
+# 46-bit prime took 0.8 s in CPython 3.11
+_CANDIDATE_WORK = 1 << 22
+
+
+def _prime_divisors(q: int) -> list[int]:
+    """The distinct primes dividing q >= 1, by trial division."""
+    primes, d = [], 2
+    while d * d <= q:
+        if q % d == 0:
+            primes.append(d)
+            while q % d == 0:
+                q //= d
+        d += 1 if d == 2 else 2
+    return primes + [q] if q > 1 else primes
+
+
+def _candidate_at(system: RegularSystemParams, j: int, index: int) -> Alpha:
+    """``exceptional_alpha_candidates(system, j)[index]`` without building
+    the candidates before it.
+
+    Whole denominators are skipped by Euler's phi(q), the number of reduced
+    p/q in (0, 1) for q >= 2.  In the chosen q, p is the least integer with
+    the wanted count of integers in [1, p] coprime to q, found by bisection
+    on that count by inclusion-exclusion over q's primes.  An index past
+    the window raises ``ValueError``; one whose walk could take more than
+    ``_CANDIDATE_WORK`` trial divisions raises ``BudgetError`` first."""
+    if index < 0:
+        raise ValueError(f"candidate index must be >= 0, got {index}")
+    window = system.denominator_range(j)
+    walk = len(window)
+    if window.start >= 3:
+        # phi(q) > q / (e^gamma ln ln q + 3 / ln ln q) for q >= 3 (Rosser and
+        # Schoenfeld), increasing in q, so each q past window.start skips at
+        # least phi_min candidates
+        lnln = math.log(math.log(window.start))
+        phi_min = window.start / (1.7810724179901979 * lnln + 3 / lnln)
+        walk = min(walk, int(index / phi_min) + 1)
+    if walk * (math.isqrt(window[-1]) // 2 + 1) > _CANDIDATE_WORK:
+        raise BudgetError(
+            f"candidate {index} at level {j} may take more than {_CANDIDATE_WORK} "
+            "trial divisions to reach; choose a smaller rank"
+        )
+    seen = 0
+    for q in window:
+        primes = _prime_divisors(q)
+        phi = q if q > 1 else 0
+        for prime in primes:
+            phi -= phi // prime
+        if index < seen + phi:
+            want = index - seen + 1
+            divisors = [(1, 1)]  # the squarefree divisors d of q, with mu(d)
+            for prime in primes:
+                divisors += [(d * prime, -mu) for d, mu in divisors]
+            lo, hi = 1, q - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if sum(mu * (mid // d) for d, mu in divisors) >= want:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return Alpha.rational(lo, q)
+        seen += phi
+    raise ValueError(f"regular system at level {j} has only {seen} candidates")
+
+
 # 25*pi^2 relates the enumeration rank of a reduced fraction to its height:
 # among fractions ordered by height, p/q appears no earlier than rank
 # q^2/(25*pi^2) up to the constants of the counting argument
@@ -672,11 +740,14 @@ def monte_carlo_ppc(
     input is checked before any work.  The elements become uint64 words
     (x mod 2**64) once per call, and every trial passes the words in place
     of the elements: its q is 2**64, so x mod 2**64 is all a residue reads.
+    A classic family stored as int64 (:func:`~ppclab.sequences.classic`) is
+    read as those words without a copy, and its Python-int elements are
+    never built.
     Each trial answers every (n, s) from one sort per prefix.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    elements = as_elements(seq)
+    elements = seq.members if isinstance(seq, ClassicSequence) else as_elements(seq)
     schedule, s_fracs = _grid(len(elements), [int(n) for n in schedule], s_values)
     if not schedule or not s_fracs:
         raise ValueError("schedule and s list must be nonempty")

@@ -10,8 +10,9 @@ below the classical threshold.
 
 Elements grow doubly exponentially (the top G element at level j has on the
 order of 2^j bits), so everything is plain Python big integers.  Classic
-comparison families (identity, powers, primes, lacunary) live here too, as
-does the one-integer-per-line file format shared with the CLI.
+comparison families (identity, powers, primes, lacunary) live here too,
+held as int64 words while their members fit one, as does the
+one-integer-per-line file format shared with the CLI.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -264,19 +266,28 @@ def build_blocks(
 
 @dataclass(frozen=True)
 class ClassicSequence:
+    """A classic family, identified by ``(family, n, param)``.
+
+    ``members`` holds the n members once: a read-only int64 array when the
+    largest is below 2**63, a list of Python ints otherwise.  ``elements`` is
+    always that list of Python ints; from an array it is built on first
+    access and kept, so no numpy scalar reaches exact arithmetic."""
+
     family: str
     n: int
     param: int
-    elements: list[int] = field(repr=False)
+    members: np.ndarray | list[int] = field(repr=False, compare=False)
+
+    @cached_property
+    def elements(self) -> list[int]:
+        if isinstance(self.members, np.ndarray):
+            return self.members.tolist()
+        return self.members
 
 
-def _first_primes(n: int) -> list[int]:
-    """The first n primes, by sieving up to a standard upper bound."""
-    if n <= 0:
-        return []
-    if n < 6:
-        return [2, 3, 5, 7, 11][:n]
-    bound = int(n * (math.log(n) + math.log(math.log(n)))) + 10
+def _first_primes(n: int) -> np.ndarray:
+    """The first n primes as int64, by sieving up to a standard upper bound."""
+    bound = int(n * (math.log(n) + math.log(math.log(n)))) + 10 if n >= 6 else 12
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(bound) + 1):
@@ -284,36 +295,47 @@ def _first_primes(n: int) -> list[int]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     # p_n < n (ln n + ln ln n) for n >= 6 (Rosser-Schoenfeld), so the sieve
     # always holds at least n primes
-    primes = [i for i, flag in enumerate(sieve) if flag]
-    return primes[:n]
+    return np.flatnonzero(np.frombuffer(sieve, dtype=np.uint8))[:n].astype(np.int64)
 
 
 def classic(family: str, n: int, param: int = 0) -> ClassicSequence:
     """Build a classic family: identity | power (n^d) | primes | lacunary (q^n).
 
     ``param`` is the exponent d >= 1 for "power" (default 2) and the base
-    q >= 2 for "lacunary" (default 2); it is ignored for the others.
+    q >= 2 for "lacunary" (default 2); it is ignored for the others.  A family
+    whose largest member is below 2**63 is computed in int64, exactly, and
+    stored as that array; a larger one as Python ints.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if family == "identity":
-        return ClassicSequence(family, n, 1, list(range(1, n + 1)))
-    if family == "power":
-        d = param or 2
-        if d < 1:
+        members = np.arange(1, n + 1, dtype=np.int64)
+        param = 1
+    elif family == "power":
+        param = param or 2
+        if param < 1:
             raise ValueError("power exponent must be >= 1")
-        if n**d < 1 << 63:  # every power fits an int64, so numpy computes it exactly
-            return ClassicSequence(family, n, d,
-                                   (np.arange(1, n + 1, dtype=np.int64) ** d).tolist())
-        return ClassicSequence(family, n, d, [k**d for k in range(1, n + 1)])
-    if family == "primes":
-        return ClassicSequence(family, n, 0, _first_primes(n))
-    if family == "lacunary":
-        q = param or 2
-        if q < 2:
+        if n**param < 1 << 63:
+            members = np.arange(1, n + 1, dtype=np.int64)
+            np.power(members, param, out=members)
+        else:
+            members = [k**param for k in range(1, n + 1)]
+    elif family == "primes":
+        members = _first_primes(n)
+        param = 0
+    elif family == "lacunary":
+        param = param or 2
+        if param < 2:
             raise ValueError("lacunary base must be >= 2")
-        return ClassicSequence(family, n, q, [q**k for k in range(1, n + 1)])
-    raise ValueError(f"unknown family {family!r}")
+        if param**n < 1 << 63:
+            members = np.power(np.int64(param), np.arange(1, n + 1, dtype=np.int64))
+        else:
+            members = [param**k for k in range(1, n + 1)]
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    if isinstance(members, np.ndarray):
+        members.flags.writeable = False
+    return ClassicSequence(family, n, param, members)
 
 
 # -- shared helpers ------------------------------------------------------------

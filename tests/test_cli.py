@@ -312,6 +312,38 @@ def test_probe_refuses_a_negative_regular_system_rank(tmp_path, capsys, rank):
     assert not (tmp_path / "probe.csv").exists()
 
 
+@pytest.mark.parametrize("rank, code", [("1000000000", 0), ("1000000000000000", 4)])
+def test_probe_picks_a_far_regular_system_rank_directly(tmp_path, capsys, rank, code):
+    # level 40's first denominator alone holds over 10^9 candidates; the far
+    # rank's walk is refused before it starts
+    assert run_cli("probe", "--family", "blocks", "--f", "ilog(1)", "--beta", "0.7",
+                   "--gamma", "0.45", "--jmax", 8, "--levels", 8,
+                   "--alpha-from-regular-system", "j=40", f"rank={rank}",
+                   "--csv", tmp_path / "probe.csv") == code
+    err = capsys.readouterr().err
+    assert (tmp_path / "probe.csv").exists() == (code == 0)
+    assert len(err.splitlines()) == (code != 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pc", "--family", "power", "--seq-n", "5", "--alpha", "1/3", "--s", "-1/2"],
+    ["pc", "--family", "power", "--seq-n", "5", "--alpha", "1/3", "--bogus", "1"],
+    [],
+], ids=["negative-s-read-as-a-flag", "unknown-flag", "no-subcommand"])
+def test_usage_errors_are_one_config_error_line(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["mc", "--help"]])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: ppclab" in capsys.readouterr().out
+
+
 # -- fuzzing the evaluator's commands ---------------------------------------------------
 #
 # pc, probe and mc with flags drawn from small pools of valid and malformed

@@ -2,12 +2,17 @@
 agreement, fixed-point certification, regular-system candidates, probe and
 Monte Carlo determinism."""
 
+import functools
 import math
 import random
+import tracemalloc
 from collections.abc import Sequence
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ppclab import paircorr
 from ppclab.growth import GrowthFunction, ThetaFunction, psi
@@ -28,7 +33,7 @@ from ppclab.paircorr import (
     rank_of_denominator,
     targeting_eta,
 )
-from ppclab.sequences import build_blocks, classic
+from ppclab.sequences import BudgetError, build_blocks, classic
 
 ILOG1 = GrowthFunction("ilog", r=1)
 THETA = ThetaFunction("one_plus_log")
@@ -341,6 +346,37 @@ def test_candidates_limit_zero_and_negative():
         exceptional_alpha_candidates(SYSTEM, 10, limit=-1)
 
 
+@functools.lru_cache(maxsize=None)
+def _all_candidates(j):
+    return exceptional_alpha_candidates(SYSTEM, j)
+
+
+@given(j=st.integers(2, 14), data=st.data())
+def test_candidate_at_picks_the_listed_candidate(j, data):
+    full = _all_candidates(j)
+    ranks = st.integers(len(full), len(full) + 3)
+    index = data.draw(st.integers(0, len(full) - 1) | ranks if full else ranks)
+    if index < len(full):
+        assert paircorr._candidate_at(SYSTEM, j, index) == full[index]
+    else:
+        with pytest.raises(ValueError, match=f"has only {len(full)} candidates"):
+            paircorr._candidate_at(SYSTEM, j, index)
+
+
+def test_candidate_at_far_ranks():
+    # level 40's first denominator holds more than 10^9 reduced fractions
+    q = SYSTEM.denominator_range(40).start
+    alpha = paircorr._candidate_at(SYSTEM, 40, 10**9)
+    assert alpha.den == q and math.gcd(alpha.num, q) == 1
+    # the last candidate of a level, and every one of a small level
+    full = _all_candidates(10)
+    assert [paircorr._candidate_at(SYSTEM, 10, i) for i in range(len(full))] == full
+    with pytest.raises(BudgetError, match="trial divisions"):
+        paircorr._candidate_at(SYSTEM, 40, 10**15)
+    with pytest.raises(ValueError):
+        paircorr._candidate_at(SYSTEM, 1, 0)  # level 1 has no denominator window
+
+
 def test_rank_proxy_frozen():
     # ceil(q^2 / (25 pi^2)): 15^2 = 225 < 246.74 <= 16^2 = 256
     assert rank_of_denominator(13) == 1
@@ -426,6 +462,51 @@ def test_monte_carlo_deterministic_and_frozen():
     assert first.alpha.den == 1 << 64
     assert res1.rows[1].r == Fraction(38, 25)  # (n=100, s=1) row of trial 0
     assert [((r.trial, r.n)) for r in res1.rows[:4]] == [(0, 50), (0, 100), (1, 50), (1, 100)]
+
+
+LITERAL_FAMILIES = [
+    ("identity", 3000, 0, [k for k in range(1, 3001)]),
+    ("power", 3000, 2, [k**2 for k in range(1, 3001)]),
+    ("power", 130, 9, [k**9 for k in range(1, 131)]),  # 128**9 = 2**63
+    ("primes", 500, 0, [p for p in range(2, 3572) if is_probable_prime(p)]),
+    ("lacunary", 62, 2, [2**k for k in range(1, 63)]),
+    ("lacunary", 70, 3, [3**k for k in range(1, 71)]),  # 3**40 > 2**63
+]
+
+
+@pytest.mark.parametrize("family, n, param, literal", LITERAL_FAMILIES,
+                         ids=[f"{f}-{n}-{d}" for f, n, d, _ in LITERAL_FAMILIES])
+def test_monte_carlo_on_stored_families_equals_plain_lists(family, n, param, literal):
+    seq = classic(family, n, param)
+    schedule = [n // 3, n]
+    stored = monte_carlo_ppc(seq, seed=7, trials=3, schedule=schedule, s_values=[0, 1, 3])
+    # the members are read as they are stored, and no list is built from them
+    assert "elements" not in vars(seq)
+    plain = monte_carlo_ppc(literal, seed=7, trials=3, schedule=schedule, s_values=[0, 1, 3])
+    assert stored.rows == plain.rows
+    words = paircorr._words(seq.members)
+    assert words.dtype == np.uint64 and words.tolist() == [x % (1 << 64) for x in literal]
+    if isinstance(seq.members, np.ndarray):  # a view, not a copy
+        assert np.shares_memory(words, seq.members)
+
+
+def test_monte_carlo_leaves_the_squares_as_words():
+    seq = classic("power", 10**5)
+    monte_carlo_ppc(seq, seed=1, trials=2, schedule=[10**4, 10**5], s_values=[1])
+    assert "elements" not in vars(seq)
+
+
+def test_monte_carlo_memory_on_a_million_squares():
+    # the squares stay one int64 array, viewed as words: no list of 10^6
+    # Python ints and no second word array (with both, the peak is 54 MiB)
+    tracemalloc.start()
+    try:
+        monte_carlo_ppc(classic("power", 10**6), seed=1, trials=1, schedule=[10**6],
+                        s_values=[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_monte_carlo_alphas_odd_and_distinct():

@@ -8,6 +8,7 @@ offsets from twice the run start.
 
 import math
 
+import numpy as np
 import pytest
 
 from ppclab.growth import GrowthFunction
@@ -187,7 +188,51 @@ def test_power_family_on_both_sides_of_int64(n, d):
     # as Python ints; both must give the same Python ints
     elements = classic("power", n, d).elements
     assert elements == [k**d for k in range(1, n + 1)]
-    assert all(type(x) is int for x in elements[-3:])
+    assert all(type(x) is int for x in elements)
+
+
+def _literal_primes(n):
+    primes, k = [], 1
+    while len(primes) < n:
+        k += 1
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+    return primes
+
+
+LITERAL = {
+    "identity": lambda n, q: list(range(1, n + 1)),
+    "primes": lambda n, q: _literal_primes(n),
+    "lacunary": lambda n, q: [q**k for k in range(1, n + 1)],
+}
+
+
+# 2**62 and 3**39 fit an int64, 2**63 and 3**40 do not, so each lacunary pair
+# sits on both sides of it; identity and primes are always int64 here
+@pytest.mark.parametrize("family, n, param", [
+    ("identity", 1, 0), ("identity", 2000, 0),
+    ("primes", 1, 0), ("primes", 5, 0), ("primes", 6, 0), ("primes", 3000, 0),
+    ("lacunary", 62, 2), ("lacunary", 63, 2), ("lacunary", 39, 3), ("lacunary", 40, 3),
+])
+def test_classic_family_on_both_sides_of_int64(family, n, param):
+    seq = classic(family, n, param)
+    elements = seq.elements
+    assert elements == LITERAL[family](n, param or 2)
+    assert all(type(x) is int for x in elements)
+    # below 2**63 the members are one read-only int64 array, above Python ints
+    if elements[-1] < 1 << 63:
+        assert seq.members.dtype == np.int64 and not seq.members.flags.writeable
+    else:
+        assert seq.members is elements
+
+
+def test_classic_sequence_is_identified_by_family_n_param():
+    stored = classic("power", 5)
+    assert "elements" not in vars(stored)  # the list is built on demand
+    plain = ClassicSequence("power", 5, 2, [1, 4, 9, 16, 25])
+    assert stored == plain and hash(stored) == hash(plain)
+    assert stored.elements is stored.elements  # built once, then kept
+    assert classic("power", 5) != classic("power", 5, 3)
 
 
 def test_primes_against_reference_count():
