@@ -443,12 +443,12 @@ def _run_scaling(p: dict[str, object], ctx: RunContext) -> None:
     ]
     ctx.write_csv(p["out.csv"], ["j", "N", "energy", "f(N)", "normalized"], rows)
     print(f"wrote {p['out.csv']}: {len(rows)} rows, spread = {result.spread:.4f}")
-    ctx.finish(notes={"spread": result.spread})
+    ctx.finish(notes={"spread": result.spread, "energy_split": dict(result.split)})
 
 
 def _run_pc(p: dict[str, object], ctx: RunContext) -> None:
     seq = _load_sequence(p)
-    n = p["pc.n"] if p["pc.n"] is not None else len(as_elements(seq))
+    n = p["pc.n"] if p["pc.n"] is not None else len(seq)
     r = pair_correlation(seq, p["pc.alpha"], n, p["pc.s"])
     print(f"alpha = {p['pc.alpha'].label()}")
     print(f"N = {n}, s = {p['pc.s']}")
@@ -591,7 +591,8 @@ def _run_corollary_table(p: dict[str, object], ctx: RunContext) -> None:
     spread = result.spread if eligible else float("nan")
     print(f"wrote {p['out.csv']}: {len(rows)} rows, spread over nonempty runs = "
           f"{spread:.4f}")
-    ctx.finish(notes={"spread": spread, "eps": p["table.eps"]})
+    ctx.finish(notes={"spread": spread, "eps": p["table.eps"],
+                      "energy_split": dict(result.split)})
 
 
 _RUNNERS = {

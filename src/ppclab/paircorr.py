@@ -416,10 +416,19 @@ def pair_correlation(seq: SequenceLike, alpha: Alpha, n: int, s: SLike) -> Fract
     ``np.searchsorted`` for the residues with more than a few neighbours in
     the window, otherwise a sorted list of Python ints counted by rank with
     ``bisect``.  In fixed-point mode a comparison landing inside the guard
-    window raises :class:`PrecisionError`.
+    window raises :class:`PrecisionError`.  A classic family stored as int64
+    is read as its uint64 words, without building its Python ints, under a
+    rational alpha whose q is a power of two <= 2**64: x mod 2**64 is all a
+    residue then reads.
     """
     s = Fraction(s)
-    return _statistics(as_elements(seq), alpha, [n], [s])[n, s]
+    q = alpha.den
+    if (isinstance(seq, ClassicSequence) and isinstance(seq.members, np.ndarray)
+            and alpha.mode == "rational" and not q & (q - 1) and q <= _U64_MODULUS):
+        elements = _words(seq.members)
+    else:
+        elements = as_elements(seq)
+    return _statistics(elements, alpha, [n], [s])[n, s]
 
 
 def _prepare(seq: SequenceLike, n: int, s: SLike) -> tuple[Sequence[int], Fraction]:
@@ -429,13 +438,30 @@ def _prepare(seq: SequenceLike, n: int, s: SLike) -> tuple[Sequence[int], Fracti
     return elements[:n], s
 
 
+def _fits_int64(q: int, n: int, s: Fraction) -> bool:
+    """Whether p * (x mod q) (p < q) and both sides of the window test
+    dist * s.denominator * n <= s.numerator * q (dist <= q) fit an int64."""
+    return max(q * q, q * s.denominator * n, q * s.numerator) < 1 << 63
+
+
 def pair_correlation_naive(seq: SequenceLike, alpha: Alpha, n: int, s: SLike) -> Fraction:
-    """Oracle: the literal quadratic count (rational alpha only)."""
+    """Oracle: the literal quadratic count (rational alpha only), one row of
+    pairs at a time in int64 when every product fits one, else in Python
+    ints."""
     if alpha.mode != "rational":
         raise ValueError("the oracle route is defined for rational alpha only")
     elements, s = _prepare(seq, n, s)
     p, q = alpha.num, alpha.den
     res = [(p * (x % q)) % q for x in elements]
+    if _fits_int64(q, n, s):
+        res = np.array(res, dtype=np.int64)
+        scale, bound = s.denominator * n, s.numerator * q
+        count = 0
+        for i in range(n - 1):
+            delta = np.abs(res[i + 1:] - res[i])
+            dist = np.minimum(delta, q - delta)
+            count += int(np.count_nonzero(dist * scale <= bound))
+        return Fraction(2 * count, n)
     count = 0
     for i in range(n):
         ri = res[i]
@@ -455,13 +481,25 @@ def pair_correlation_via_reps(seq: SequenceLike, alpha: Alpha, n: int, s: SLike)
     over the differences whose dilation lands in the window.
 
     Identical to the direct count because each ordered pair contributes via
-    its difference d, and the window only depends on d.
+    its difference d, and the window only depends on d.  The counts come
+    from ``np.unique`` over the positive differences when the elements are
+    below 2**62 and every product fits an int64, else from ``rep_counts``.
     """
     if alpha.mode != "rational":
         raise ValueError("the representation route is defined for rational alpha only")
     elements, s = _prepare(seq, n, s)
-    reps = rep_counts(elements)
     q, p = alpha.den, alpha.num
+    if _fits_int64(q, n, s) and max(map(abs, elements)) < 1 << 62:
+        x = np.array(elements, dtype=np.int64)
+        diffs = x[:, None] - x[None, :]
+        if np.count_nonzero(diffs == 0) > n:
+            raise ValueError("duplicate element; inputs must be sets")
+        diffs, counts = np.unique(diffs[diffs > 0], return_counts=True)
+        rd = p * (diffs % q) % q
+        dist = np.minimum(rd, q - rd)
+        inside = dist * (s.denominator * n) <= s.numerator * q
+        return Fraction(2 * int(counts[inside].sum()), n)
+    reps = rep_counts(elements)
     total = 0
     for d, c in reps.counts.items():
         if d <= 0:  # count each +/- pair once via the positive side

@@ -278,6 +278,9 @@ class ClassicSequence:
     param: int
     members: np.ndarray | list[int] = field(repr=False, compare=False)
 
+    def __len__(self) -> int:
+        return self.n
+
     @cached_property
     def elements(self) -> list[int]:
         if isinstance(self.members, np.ndarray):

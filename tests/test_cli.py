@@ -76,6 +76,10 @@ def test_scaling_csv_matches_library(tmp_path, capsys):
         assert (int(j), int(n), int(energy)) == (row.level, row.n, row.energy)
         assert float(f_n) == row.f_n
         assert float(normalized) == row.normalized
+    # what the energy pass split off goes to the manifest, not the CSV
+    split = json.loads((tmp_path / "scale.csv.manifest.json").read_text())["notes"]["energy_split"]
+    assert split == dict(expect.split)
+    assert split["runs"] > 0 and split["pieces"] > 0 and split["points"] < 270
 
 
 def test_scaling_default_levels_skip_empty_runs(tmp_path):
@@ -171,6 +175,9 @@ def test_corollary_table_level_one_row(tmp_path):
     j, n, energy, _, dim = lines[1].split(",")
     assert (j, n, energy) == ("1", "2", "6")  # E({1,2}) = 6
     assert float(dim) == 1.0  # the eps variant keeps full predicted dimension
+    notes = json.loads((tmp_path / "cor.csv.manifest.json").read_text())["notes"]
+    assert notes["energy_split"] == {"runs": 0, "points": 2, "point_pairs": 1,
+                                     "pieces": 0, "cross_hits": 0}
 
 
 def test_bc_ratio_pipeline(tmp_path, capsys):

@@ -160,7 +160,7 @@ def test_segments_stop_short_of_half_m0():
         assert energy._segments(a).tolist() == [0, 1, 2, 3]
         assert additive_energy(a) == 28 == additive_energy_bruteforce(a)
         assert additive_energy(a) == energy_from_reps(rep_counts(a))
-        assert energy._energies(a, [4, 1, 3, 4]) == [28, 1, 15, 28]
+        assert energy._energies(a, [4, 1, 3, 4])[0] == [28, 1, 15, 28]
 
 
 def test_runs_are_certified_by_the_class_of_their_first_pair():
@@ -218,7 +218,9 @@ def test_pair_cap_splits_key_ranges(monkeypatch):
     assert max(generated) == 30 * 29 // 2 > 2 * len(a)
     # 183 differences of a 200-term progression have more than 16 pairs; with
     # ranges of up to 2n pairs none is halved sixty-odd times down to its own key
-    # (one boundary search per range end: two at the root, one per split)
+    # (one boundary search per range end: two at the root, one per split).  The
+    # step is 3 and one far element keeps the gcd at 1, so no two reduced
+    # elements are consecutive and every pair goes through the key pass
     ranges = []
     find_boundary = energy._key_boundary
 
@@ -227,8 +229,20 @@ def test_pair_cap_splits_key_ranges(monkeypatch):
         return find_boundary(rho, b)
 
     monkeypatch.setattr(energy, "_key_boundary", counting)
-    assert additive_energy(range(200)) == ap_energy_closed_form(200)
-    assert len(ranges) < 1000
+    a = [3 * k for k in range(200)] + [1 << 40]
+    assert additive_energy(a) == energy_from_reps(rep_counts(a))
+    assert 0 < len(ranges) < 1000
+
+
+def test_dense_set_gives_up_the_run_split():
+    # short runs whose pieces overlap everywhere: the split goes over its
+    # budget of Python-int steps within the point pass and the pass starts
+    # again as the key pass alone
+    a = sorted(random.Random(5).sample(range(1300), 1000))
+    (e,), split = energy._energies(a, [1000])
+    assert e == energy_from_reps(rep_counts(a))
+    assert split == {"runs": 0, "points": 1000, "point_pairs": 499500, "pieces": 0,
+                     "cross_hits": 0}
 
 
 def test_bruteforce_cap():

@@ -5,14 +5,17 @@ of prefixes from one pass: it keys each pair by a residue of its difference
 modulo a prime M0 below 2^62, tags it with the prefix cell of its larger
 index, certifies runs of equal keys by the segments their elements lie in,
 and confirms the rest under further moduli once twice the span reaches M0.
-The sets below cover one modulus (small spans, negative elements), two
-moduli (elements above 2^62), a dozen moduli (elements above 2^700),
-arithmetic progressions, block-like sets with long runs, sets built to
-share primary residues, and sets spanning several segments with elements
-next to a segment's end.  Each is checked against the representation
-counts, against brute force up to 64 elements, against the bounds
-n^2 <= E <= n^3 and under x -> a*x + b; prefix grids are checked prefix by
-prefix, with unsorted and repeated lengths, and with small pair caps.
+Runs of consecutive reduced elements are split off as trapezoids and only
+the other elements go through the key pass.  The sets below cover one
+modulus (small spans, negative elements), two moduli (elements above
+2^62), a dozen moduli (elements above 2^700), arithmetic progressions,
+block-like sets with long runs, runs with points beside and between them,
+sets built to share primary residues, and sets spanning several segments
+with elements next to a segment's end.  Each is checked against the
+representation counts, against brute force up to 64 elements, against the
+bounds n^2 <= E <= n^3 and under x -> a*x + b; prefix grids are checked
+prefix by prefix, with unsorted and repeated lengths, and with small pair
+caps.
 """
 
 import functools
@@ -25,6 +28,7 @@ from ppclab import energy
 from ppclab.energy import (
     additive_energy,
     additive_energy_bruteforce,
+    ap_energy_closed_form,
     energy_from_reps,
     energy_scaling,
     rep_counts,
@@ -53,6 +57,27 @@ def block_like(draw):
         out.update(range(base, base + draw(st.integers(1, 25))))
     out.update(1 << e for e in draw(st.lists(st.integers(0, 300), max_size=15)))
     return sorted(out)
+
+
+@st.composite
+def runs_and_points(draw):
+    """Runs of 2 to 30 consecutive integers, some next to one another or to
+    a point, at small offsets, far apart or near a multiple of M0, plus
+    loose points, then scaled by a gcd and shifted (often below zero)."""
+    out = set()
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(-60, 60) | st.integers(0, 1 << 200)
+                     | st.integers(-40, 40).map(lambda k: k + M0))
+        end = start + draw(st.integers(2, 30))
+        out.update(range(start, end))
+        # points, or a second run, one gap away from the run's ends
+        out.update(draw(st.lists(st.sampled_from([start - 2, end + 1]), max_size=2)))
+        if draw(st.booleans()):
+            out.update(range(end + 1, end + 1 + draw(st.integers(2, 30))))
+    out.update(draw(st.lists(st.integers(-200, 200) | st.integers(0, 1 << 200), max_size=12)))
+    scale = draw(st.sampled_from([1, 1, 2, 3, 1 << 70]))
+    shift = draw(st.integers(-(1 << 80), 1 << 10))
+    return sorted(scale * x + shift for x in out)
 
 
 @st.composite
@@ -91,6 +116,7 @@ SETS = {
     "above 2^700": sets_of(st.integers(1 << 700, 1 << 760)),
     "progression": progressions(),
     "block-like": block_like(),
+    "runs and points": runs_and_points(),
     "shared residues": shared_residues(),
     "segment edges": segment_edges(),
 }
@@ -134,7 +160,8 @@ def test_small_pair_cap_gives_the_same_energy(kind, data):
 
 
 def grids(n):
-    """Prefix lengths in 1..n, unsorted and possibly repeated, often with 1."""
+    """Prefix lengths in 1..n, unsorted and possibly repeated, often with 1;
+    a length inside a run cuts it into two runs, or a run and a point."""
     lengths = st.lists(st.integers(1, n), min_size=1, max_size=6)
     return lengths | lengths.map(lambda ns: ns + [1])
 
@@ -144,7 +171,7 @@ def grids(n):
 def test_prefix_grid_matches_per_prefix_oracles(kind, data):
     a = data.draw(SETS[kind])
     ns = data.draw(grids(len(a)))
-    got = energy._energies(a, ns)
+    got, _ = energy._energies(a, ns)
     assert got == [oracle(a[:n]) for n in ns]
     for n, e in zip(ns, got):
         if n <= 64:
@@ -152,14 +179,15 @@ def test_prefix_grid_matches_per_prefix_oracles(kind, data):
 
 
 @pytest.mark.parametrize("cap", [1, 3, 16])
-@pytest.mark.parametrize("kind", ["block-like", "shared residues", "segment edges"])
+@pytest.mark.parametrize(
+    "kind", ["block-like", "runs and points", "shared residues", "segment edges"])
 @given(data=st.data())
 def test_prefix_grid_with_small_pair_caps(cap, kind, data):
     a = data.draw(SETS[kind])
     ns = data.draw(grids(len(a)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(energy, "_PAIR_CAP", cap)
-        assert energy._energies(a, ns) == [oracle(a[:n]) for n in ns]
+        assert energy._energies(a, ns)[0] == [oracle(a[:n]) for n in ns]
 
 
 BLOCKS = {
@@ -192,3 +220,31 @@ def test_energy_scaling_matches_per_prefix_oracles(params, cap, data):
     for row in rows:
         assert row.n == seq.checkpoint(row.level)
         assert row.energy == block_oracle(params, row.n)
+
+
+@pytest.mark.parametrize("k", [3, 31, 500, 4096])
+def test_single_run_is_its_closed_form(k):
+    (e,), split = energy._energies(list(range(-7, k - 7)), [k])
+    assert e == additive_energy(range(k)) == ap_energy_closed_form(k)
+    assert split == {"runs": 1, "points": 0, "point_pairs": 0, "pieces": 1, "cross_hits": 0}
+
+
+@pytest.mark.parametrize("params", [(2 / 3, 1 / 3), (0.7, 0.45)])
+def test_split_equals_key_pass_on_blocks(params, monkeypatch):
+    seq = build_blocks(GrowthFunction("ilog", r=1), *params, 12)
+    ns = [seq.checkpoint(j) for j in range(1, 13) if seq.a_block(j).length > 0]
+    split, counts = energy._energies(seq.elements, ns)
+    assert counts["runs"] >= 10 and counts["cross_hits"] > 0
+    assert counts["points"] < len(seq.elements) // 2
+    # every element through the key pass, as before runs were split off
+    monkeypatch.setattr(energy._RunPart, "split", classmethod(lambda cls, *args: None))
+    plain, counts = energy._energies(seq.elements, ns)
+    assert counts["runs"] == 0 and split == plain
+
+
+def test_energy_pin_at_t13():
+    # pinned from the key pass alone, before runs were split off (E(T_14) of
+    # these blocks is 108284966631 at N = 15783, too slow for this suite)
+    seq = build_blocks(GrowthFunction("ilog", r=1), 2 / 3, 1 / 3, 13)
+    (row,) = energy_scaling(seq, [13]).rows
+    assert (row.n, row.energy) == (8102, 15910340538)

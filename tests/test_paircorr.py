@@ -490,6 +490,20 @@ def test_monte_carlo_on_stored_families_equals_plain_lists(family, n, param, lit
         assert np.shares_memory(words, seq.members)
 
 
+@pytest.mark.parametrize("family, n, param, literal", LITERAL_FAMILIES,
+                         ids=[f"{f}-{n}-{d}" for f, n, d, _ in LITERAL_FAMILIES])
+def test_pair_correlation_on_stored_families_equals_plain_lists(family, n, param, literal):
+    # under a power-of-two q <= 2**64 an int64 family is read as its words,
+    # and its list of Python ints is never built; any other q reads the list
+    for alpha in (Alpha.rational(12345678901, 1 << 64), Alpha.rational(3, 1 << 20),
+                  Alpha.rational(0), Alpha.rational(5, 97)):
+        seq = classic(family, n, param)
+        for s in (Fraction(1, 2), 1, 3):
+            assert pair_correlation(seq, alpha, n, s) == pair_correlation(literal, alpha, n, s)
+        words = isinstance(seq.members, np.ndarray) and alpha.den != 97
+        assert ("elements" in vars(seq)) != words
+
+
 def test_monte_carlo_leaves_the_squares_as_words():
     seq = classic("power", 10**5)
     monte_carlo_ppc(seq, seed=1, trials=2, schedule=[10**4, 10**5], s_values=[1])
