@@ -13,8 +13,8 @@ The pieces, bottom up:
   and the sequence file format.
 - :mod:`ppclab.energy` — exact additive energy of a whole grid of prefixes
   from one bounded numpy sort of residue keys, equal keys certified by the
-  elements' positions or by the Chinese remainder theorem, with brute-force
-  and FFT oracles; representation counts; checkpoint scaling.
+  elements' positions or by their exact differences, with brute-force and
+  FFT oracles; representation counts; checkpoint scaling.
 - :mod:`ppclab.paircorr` — the exact pair correlation statistic (rational
   and certified fixed-point dilations), regular systems of rational
   candidates, perturbation targeting, divergence probes, Monte Carlo.

@@ -129,7 +129,7 @@ def _p_levels(tok: str) -> list[int]:
         if lo > hi:
             raise ConfigError(f"empty level range {tok!r}")
         return list(range(lo, hi + 1))
-    return [_p_int(part) for part in tok.split(",") if part.strip()]
+    return _p_int_list(tok)
 
 
 def _p_int_list(tok: str) -> list[int]:
@@ -710,12 +710,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             _dispatch(name, raw, text)
         else:
             raw = {}
-            for param in EXPERIMENTS[ns.experiment]:
-                value = getattr(ns, param.key, None)
+            flags = [(p.key, p.flag) for p in EXPERIMENTS[ns.experiment]]
+            for key, flag in flags + [(_NOTES_KEY, "--notes")]:
+                value = getattr(ns, key, None)
                 if value is not None:
-                    raw[param.key] = " ".join(value) if isinstance(value, list) else value
-            if getattr(ns, _NOTES_KEY, None) is not None:
-                raw[_NOTES_KEY] = getattr(ns, _NOTES_KEY)
+                    value = " ".join(value) if isinstance(value, list) else value
+                    if not value.strip():  # as a config file refuses it
+                        raise ConfigError(f"empty value for {flag}")
+                    raw[key] = value
             _dispatch(ns.experiment, raw, _canonical_text(ns.experiment, raw))
         return 0
     except ConfigError as exc:

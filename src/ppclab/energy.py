@@ -18,13 +18,12 @@ Three independent routes are implemented and kept separate on purpose:
   prime M0 < 2^62, tagged with the shortest prefix that holds them,
   generated a bounded key range at a time, sorted and counted in runs with
   numpy.  Runs of equal keys are certified equal by where their elements
-  lie (segments of width below M0 / 2), or else confirmed under further
-  coprime moduli whose product exceeds twice the span (Chinese remainder
-  theorem).  A point pair whose difference lands in a trapezoid's support
-  by residue is confirmed from its Python-int difference for the cross
-  term.  So every count is exact and the working set is bounded by a fixed
-  pair cap (2n pairs when that is more).  A set with no runs, or too few to
-  pay, goes through the key pass whole;
+  lie (segments of width below M0 / 2), or else compared by their exact
+  Python-int differences.  A point pair whose difference lands in a
+  trapezoid's support by residue is confirmed from its Python-int
+  difference for the cross term.  So every count is exact and the working
+  set is bounded by a fixed pair cap (2n pairs when that is more).  A set
+  with no runs, or too few to pay, goes through the key pass whole;
 * ``additive_energy_bruteforce`` — enumeration straight from the
   definition, for oracle duty on small sets;
 * ``additive_energy_convolution`` — an FFT autocorrelation cross-check,
@@ -183,16 +182,14 @@ def additive_energy(a: Iterable[int], method: str = "sorted") -> int:
 @dataclass(frozen=True)
 class _KeyPass:
     """What every key range of one pass reads, all in key order: the keys
-    rho, the reduced elements, their grid cells and segments, and the
-    residues under the confirming moduli."""
+    rho, the reduced elements (Python ints in an object array), and their
+    grid cells and segments."""
 
     rho: np.ndarray
-    ys: list[int]
+    ys: np.ndarray
     cells: np.ndarray
     n_cells: int
     segments: np.ndarray
-    moduli: np.ndarray
-    residues: np.ndarray
     # with runs split off: the run part, and each element's y mod M0 and
     # rank in increasing y
     runs: "_RunPart | None" = None
@@ -254,11 +251,10 @@ def _energies(xs: Sequence[int], ns: Sequence[int]) -> tuple[list[int], dict[str
     from the same segment A to the same segment B, then
     |d1 - d2| <= 2(H - 1) = M0 - 3 (M0 is odd), so d1 = d2: a pair in the
     position class of its run's first pair is certified by position.  Only
-    the other pairs are compared with the first under further
-    pairwise-coprime moduli whose product exceeds 2S: agreeing mod every
-    modulus, the two differences are equal by the Chinese remainder
-    theorem.  A run that fails is counted exactly from its Python-int
-    differences, cell by cell.
+    the other pairs are compared with the first, by their exact Python-int
+    differences.  So a run's pairs are equal by position or else equal by
+    integer comparison; a run that fails is counted exactly from its
+    Python-int differences, cell by cell.
     """
     grid = sorted(set(ns))
     if not grid:
@@ -298,39 +294,28 @@ def _square_sums(ys: list[int], cells: np.ndarray, n_cells: int,
     points = range(len(ys)) if runs is None else runs.points.tolist()
     if runs is not None:
         increments += runs.square_sums()
-    for part in _key_pass([ys[i] for i in points], cells[points], n_cells, ys[-1], runs):
+    for part in _key_pass([ys[i] for i in points], cells[points], n_cells, runs):
         increments += part
     return increments
 
 
-def _key_pass(ys: list[int], cells: np.ndarray, n_cells: int, span: int,
-              runs: "_RunPart | None"):
+def _key_pass(ys: list[int], cells: np.ndarray, n_cells: int, runs: "_RunPart | None"):
     """Yield, per key range, each grid cell's increment of the sum of
-    r(d)^2 over the pairs of the increasing ``ys`` in [0, span] (with their
-    ``cells``), plus twice the cross term with ``runs`` when given."""
+    r(d)^2 over the pairs of the increasing ``ys`` (with their ``cells``),
+    plus twice the cross term with ``runs`` when given."""
     n = len(ys)
     if n < 2:
         return
-    moduli = _moduli(span)
     rho = np.array([_SPREAD * y % _M0 for y in ys], dtype=np.int64)
     order = np.argsort(rho, kind="stable")  # ties keep increasing y
-    segments = _segments(ys)
-    ys = [ys[i] for i in order.tolist()]
-    # each element's residues under the further moduli, one row per element
-    # in key order, for the confirmation step
-    residues = np.empty((n, len(moduli) - 1), dtype=np.int64)
-    for k, m in enumerate(moduli[1:]):
-        residues[:, k] = [y % m for y in ys]
     state = _KeyPass(
         rho=rho[order],
-        ys=ys,
+        ys=np.array(ys, dtype=object)[order],
         cells=cells[order],
         n_cells=n_cells,
-        segments=segments[order],
-        moduli=np.array(moduli[1:], dtype=np.int64),
-        residues=residues,
+        segments=_segments(ys)[order],
         runs=runs,
-        plain=None if runs is None else np.array([y % _M0 for y in ys], dtype=np.int64),
+        plain=None if runs is None else np.array([y % _M0 for y in ys], dtype=np.int64)[order],
         ranks=None if runs is None else order.astype(np.int32),
     )
     cap = max(_PAIR_CAP, 2 * n)
@@ -346,19 +331,6 @@ def _key_pass(ys: list[int], cells: np.ndarray, n_cells: int, span: int,
             ranges += [(mid, hi), (lo, mid)]
         elif total:
             yield _range_increments(state, (lo[1], length, hi[2], wlength))
-
-
-def _moduli(span: int) -> list[int]:
-    """M0 and the next odd numbers below it that are coprime to all those
-    chosen so far, until the product exceeds 2 * span: then two differences in
-    [-span, span] that agree modulo every one of them are equal."""
-    moduli, product, m = [], 1, _M0
-    while product <= 2 * span:
-        if math.gcd(m, product) == 1:
-            moduli.append(m)
-            product *= m
-        m -= 2
-    return moduli
 
 
 def _segments(ys: list[int]) -> np.ndarray:
@@ -434,12 +406,12 @@ def _range_increments(state: _KeyPass, slices) -> np.ndarray:
     ranks = np.arange(len(slots)) - np.repeat(np.cumsum(good) - good, good)
     np.add.at(increments, slots % state.n_cells, 2 * ranks + 1)
     # a run whose differences disagree somewhere: count it from the integers
-    ys = state.ys
     for i in np.flatnonzero(failed).tolist():
         run = slice(firsts[i], firsts[i] + lengths[i])
         by_difference: dict[int, list[int]] = {}
-        for k, j, c in zip(p[run].tolist(), q[run].tolist(), cells[run].tolist()):
-            by_difference.setdefault(ys[j] - ys[k], []).append(c)
+        differences = state.ys[q[run]] - state.ys[p[run]]
+        for d, c in zip(differences.tolist(), cells[run].tolist()):
+            by_difference.setdefault(d, []).append(c)
         for members in by_difference.values():
             members.sort()
             for rank, c in enumerate(members):
@@ -453,20 +425,15 @@ def _uncertified(state: _KeyPass, p, q, firsts, lengths) -> np.ndarray:
     pair's position class is -1 when it lies inside one segment and
     (segment of p) << 32 | (segment of q) otherwise.  A pair in the class of
     its run's first pair has the first's difference; every other pair is
-    compared with the first under the further moduli."""
+    compared with the first by exact difference."""
     sp, sq = state.segments[p], state.segments[q]
     classes = sp.astype(np.int64) << 32 | sq
     classes[sp == sq] = -1
     pairs = np.flatnonzero(classes != np.repeat(classes[firsts], lengths))
     runs = np.searchsorted(firsts, pairs, side="right") - 1
     first = firsts[runs]
-    # each pair's difference mod m against its run's first, both taken in
-    # (-m, m): they agree mod m exactly when they differ by 0 or +-m
-    r = state.residues
-    d = r[q[pairs]] - r[p[pairs]]
-    d -= r[q[first]] - r[p[first]]
-    np.abs(d, out=d)
-    mismatch = ((d != 0) & (d != state.moduli)).any(axis=1)
+    ys = state.ys
+    mismatch = ys[q[pairs]] - ys[p[pairs]] != ys[q[first]] - ys[p[first]]
     failed = np.zeros(len(lengths), dtype=bool)
     failed[runs[mismatch]] = True
     return failed
@@ -725,10 +692,9 @@ class _RunPart:
         near = np.flatnonzero(windows.near(x))
         self._spend(len(near))
         out = [0] * self.n_cells
-        ys = state.ys
-        for i, j, c, r in zip(p[near].tolist(), q[near].tolist(), cells[near].tolist(),
-                              x[near].tolist()):
-            d = abs(ys[j] - ys[i])  # r = d mod M0
+        differences = np.abs(state.ys[q[near]] - state.ys[p[near]])
+        for d, c, r in zip(differences.tolist(), cells[near].tolist(), x[near].tolist()):
+            # r = d mod M0
             hit = False
             pieces = windows.pieces_at(r)
             self._spend(len(pieces))
@@ -740,6 +706,7 @@ class _RunPart:
                     hit = True
             self.hits += hit
         return np.array(out, dtype=np.int64)
+
 
 def _breakpoint_square_sum(pos, jump, slope) -> int:
     """The sum of f(d)^2 over every d, for breakpoints sorted by group and

@@ -841,11 +841,19 @@ def random_prime_alpha(
     Unlike dyadic denominators, a generic large prime does not resonate with
     power-of-two sequence elements.  If ``min_power_order`` is positive, q is
     redrawn until no power 2^k with 1 <= k <= min_power_order is 1 mod q, so
-    even deep geometric blocks cannot collapse to residue zero.
+    even deep geometric blocks cannot collapse to residue zero.  The order of
+    2 mod q is at most q - 1 <= 2^bits - 2, so a ``min_power_order`` of
+    2^bits - 2 or more is refused up front (ValueError), and so is one that
+    4096 primes in a row fail.
     """
     if bits < 8:
         raise ValueError("prime width below 8 bits is not useful here")
-    while True:
+    if min_power_order >= 2**bits - 2:
+        raise ValueError(
+            f"no {bits}-bit prime has a power order above {min_power_order}"
+        )
+    rejected = 0
+    while rejected < 4096:
         q = rng.getrandbits(bits - 1) | (1 << (bits - 1)) | 1
         if not is_probable_prime(q):
             continue
@@ -858,6 +866,11 @@ def random_prime_alpha(
                     ok = False
                     break
             if not ok:
+                rejected += 1
                 continue
         p = rng.randrange(1, q)
         return Alpha.rational(p, q)
+    raise ValueError(
+        f"4096 {bits}-bit primes in a row have a power order of at most "
+        f"{min_power_order}"
+    )

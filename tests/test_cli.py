@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ppclab.cli
-from ppclab.cli import main
+from ppclab.cli import EXPERIMENTS, main
 from ppclab.energy import energy_scaling
 from ppclab.growth import GrowthFunction
 from ppclab.sequences import build_blocks, read_sequence
@@ -353,13 +353,15 @@ def test_help_still_exits_zero(capsys, argv):
 
 # -- fuzzing the evaluator's commands ---------------------------------------------------
 #
-# pc, probe and mc with flags drawn from small pools of valid and malformed
-# tokens: whatever the draw, main returns 0, 2, 3 or 4 and a refusal is one
-# line on stderr.  Each flag has a pool of valid tokens and one of malformed
-# ones (None leaves the flag out); a run takes valid tokens for all flags but
-# at most one, so most runs get past the parser.  The pools keep every run
-# small: classic families of at most 50 elements, blocks through level 8,
-# ranks up to 100, short level ranges.
+# pc, probe, mc, energy and scaling with flags drawn from small pools of valid
+# and malformed tokens: whatever the draw, main returns 0, 2, 3 or 4 and a
+# refusal is one line on stderr.  Each flag has a pool of valid tokens and one
+# of malformed ones (None leaves the flag out); a run takes valid tokens for
+# all flags but at most one, so most runs get past the parser.  The pools
+# keep every run small: classic families of at most 50 elements, blocks
+# through level 8, ranks up to 100, short level ranges.  Every draw is also
+# written as a config file and run through ``run``: the same exit code, and
+# on success the same stdout and CSV bytes.
 
 CLASSIC_FLAGS = {
     "--family": (["identity", "power", "primes", "lacunary"], ["squares", None]),
@@ -398,12 +400,21 @@ COMMAND_FLAGS = {
         "--s": (["1", "1/2,1", "0"], ["-1/2", "1,-1/2", "", None]),
         "--seed": (["1", "0", "-7"], ["x", None]),
     },
+    "energy": {
+        "--n": ([None, "1", "7"], ["0", "-1", "x"]),
+        "--max-pairs": ([None, "30", "100000"], ["x", "1/2"]),
+    },
+    "scaling": {
+        "--levels": ([None, "2..8", "8", "3,5"], ["8..7", "", "0..2", "7..9", "x"]),
+        "--max-pairs": ([None, "30", "100000"], ["x", "1/2"]),
+    },
 }
 
 
 @st.composite
-def evaluator_argv(draw, command, out):
-    """The argv of one run of ``command``, its CSV (if any) under ``out``."""
+def evaluator_run(draw, command, out):
+    """The argv of one run of ``command`` and its config-file text, its CSV
+    (if any) under ``out``."""
     pools = {**(BLOCK_FLAGS if command == "probe" or draw(st.booleans()) else CLASSIC_FLAGS),
              **COMMAND_FLAGS[command]}
     bad = draw(st.sampled_from([None] * len(pools) + list(pools)))
@@ -416,23 +427,44 @@ def evaluator_argv(draw, command, out):
             flags["--alpha"] = draw(st.sampled_from(ALPHA[0])) if source != "neither" else None
         if source in ("system", "both"):
             system = (draw(st.sampled_from(SYSTEM[0] + SYSTEM[1])) or "").split()
-    if command != "pc":
+    keys = {param.flag: param.key for param in EXPERIMENTS[command]}
+    if "--csv" in keys:
         flags["--csv"] = str(out / f"{command}.csv")
     # --flag=value, so that a value such as -1/2 is not read as a flag
     argv = [command] + [f"{flag}={value}" for flag, value in flags.items() if value is not None]
     if system:  # a greedy flag: its tokens follow it one by one
         argv += ["--alpha-from-regular-system", *system]
-    return argv
+        flags["--alpha-from-regular-system"] = " ".join(system)
+    config = [f"experiment = {command}"] + [
+        f"{keys[flag]} = {value}" for flag, value in flags.items() if value is not None]
+    return argv, "\n".join(config) + "\n"
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("command", COMMAND_FLAGS)
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_evaluator_commands_exit_with_a_code_and_one_line(tmp_path, command, data):
-    argv = data.draw(evaluator_argv(command, tmp_path))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    argv, config = data.draw(evaluator_run(command, tmp_path))
+    csv = tmp_path / f"{command}.csv"
+    csv.unlink(missing_ok=True)
+    code, out, err = _run_main(argv)
     assert code in (0, 2, 3, 4), argv
     if code:
-        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+        assert len(err.splitlines()) == 1, (argv, err)
+    written = csv.read_bytes() if code == 0 and csv.exists() else None
+    # the same run from a config file
+    csv.unlink(missing_ok=True)
+    path = tmp_path / f"{command}.cfg"
+    path.write_text(config)
+    twin_code, twin_out, _ = _run_main(["run", str(path)])
+    assert twin_code == code, (argv, config)
+    if code == 0:
+        assert twin_out == out, (argv, config)
+        assert (csv.read_bytes() if csv.exists() else None) == written, (argv, config)

@@ -8,6 +8,7 @@ against the most literal quadruple loop on tiny sets; progressions are
 additionally checked against the closed form.
 """
 
+import math
 import random
 
 import numpy as np
@@ -136,7 +137,7 @@ def test_sorted_method_agrees():
 
 def test_shared_primary_residue_is_confirmed():
     # 1 and M0 + 1, and 2 and M0 + 2, agree modulo M0, so their pairs share a
-    # key: the confirmation under the further moduli must keep them apart
+    # key: the comparison of their exact differences must keep them apart
     m = energy._M0
     assert (m + 1) % m == 1 and (m + 2) % m == 2
     for a in ([0, 1, m, m + 2], [0, 1, m, m + 1], [-m, 0, 1, 2, m, m + 2, 2 * m + 1]):
@@ -164,17 +165,9 @@ def test_segments_stop_short_of_half_m0():
 
 
 def test_runs_are_certified_by_the_class_of_their_first_pair():
-    # six elements in segments 0, 0, 1, 1, 2, 3 with the residues of
-    # y = 0, 1, 10, 12, 20, 21 under two further moduli; each run lists its
-    # pairs p -> q, first pair first
-    ys = [0, 1, 10, 12, 20, 21]
-    moduli = [7, 11]
-    state = energy._KeyPass(
-        rho=None, ys=ys, cells=None, n_cells=1,
-        segments=np.array([0, 0, 1, 1, 2, 3], dtype=np.int32),
-        moduli=np.array(moduli, dtype=np.int64),
-        residues=np.array([[y % m for m in moduli] for y in ys], dtype=np.int64),
-    )
+    # six elements in segments 0, 0, 1, 1, 2, 3; each run lists its pairs
+    # p -> q, first pair first
+    segments = np.array([0, 0, 1, 1, 2, 3], dtype=np.int32)
     runs = [
         ([0, 2], [1, 3]),  # inside segments 0 and 1, differences 1 and 2
         ([0, 3], [1, 4]),  # inside, then across 1 -> 2 with difference 8
@@ -185,9 +178,27 @@ def test_runs_are_certified_by_the_class_of_their_first_pair():
     q = np.array([j for run in runs for j in run[1]])
     lengths = np.array([len(run[0]) for run in runs])
     firsts = np.cumsum(lengths) - lengths
-    # the first and last runs disagree in their rows but never compare them
-    failed = energy._uncertified(state, p, q, firsts, lengths)
-    assert failed.tolist() == [False, True, False, False]
+
+    def failed(ys):
+        state = energy._KeyPass(rho=None, ys=np.array(ys, dtype=object), cells=None,
+                                n_cells=1, segments=segments)
+        return energy._uncertified(state, p, q, firsts, lengths).tolist()
+
+    # the first and last runs disagree in their differences but never
+    # compare them
+    assert failed([0, 1, 10, 12, 20, 21]) == [False, True, False, False]
+    # above 2^700, the pair 4 -> 5 of the third run has its first pair's
+    # difference plus M0 times the next three odd moduli below M0: the two
+    # agree modulo each of those four, and still the run fails
+    moduli, m = [energy._M0], energy._M0 - 2
+    while len(moduli) < 4:
+        if all(math.gcd(m, k) == 1 for k in moduli):
+            moduli.append(m)
+        m -= 2
+    base = (1 << 700) + 12345
+    ys = [base + y for y in (0, 1, 10, 12, 20, 21 + math.prod(moduli))]
+    assert all((ys[5] - ys[4]) % k == (ys[1] - ys[0]) % k for k in moduli)
+    assert failed(ys) == [False, True, True, False]
 
 
 def test_pair_cap_splits_key_ranges(monkeypatch):

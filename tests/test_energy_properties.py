@@ -4,14 +4,14 @@
 of prefixes from one pass: it keys each pair by a residue of its difference
 modulo a prime M0 below 2^62, tags it with the prefix cell of its larger
 index, certifies runs of equal keys by the segments their elements lie in,
-and confirms the rest under further moduli once twice the span reaches M0.
-Runs of consecutive reduced elements are split off as trapezoids and only
-the other elements go through the key pass.  The sets below cover one
-modulus (small spans, negative elements), two moduli (elements above
-2^62), a dozen moduli (elements above 2^700), arithmetic progressions,
-block-like sets with long runs, runs with points beside and between them,
-sets built to share primary residues, and sets spanning several segments
-with elements next to a segment's end.  Each is checked against the
+and compares the rest by their exact differences once the span reaches
+M0 / 2.  Runs of consecutive reduced elements are split off as trapezoids
+and only the other elements go through the key pass.  The sets below cover
+one segment (small spans, negative elements), elements above 2^62 and
+above 2^700, arithmetic progressions, block-like sets with long runs, runs
+with points beside and between them, sets built to share primary
+residues, and sets spanning several segments with elements next to a
+segment's end.  Each is checked against the
 representation counts, against brute force up to 64 elements, against the
 bounds n^2 <= E <= n^3 and under x -> a*x + b; prefix grids are checked
 prefix by prefix, with unsorted and repeated lengths, and with small pair

@@ -5,6 +5,7 @@ Monte Carlo determinism."""
 import functools
 import math
 import random
+import time
 import tracemalloc
 from collections.abc import Sequence
 from fractions import Fraction
@@ -639,3 +640,17 @@ def test_random_prime_alpha_properties():
     assert (a.num, a.den) == (b.num, b.den)
     with pytest.raises(ValueError):
         random_prime_alpha(rng, 4)
+
+
+def test_random_prime_alpha_refuses_an_order_no_prime_meets():
+    # the order of 2 mod q is at most q - 1, and 251 is the largest prime
+    # below 2^8: 254 = 2^8 - 2 is refused up front, 250 after its draws
+    for order in (254, 250):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="power order"):
+            random_prime_alpha(random.Random(0), 8, order)
+        assert time.perf_counter() - start < 1.0
+    # orders some 8-bit prime meets still give the same draws
+    for order, fraction in ((127, (11, 181)), (200, (180, 211))):
+        alpha = random_prime_alpha(random.Random(0), 8, order)
+        assert (alpha.num, alpha.den) == fraction
