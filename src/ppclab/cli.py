@@ -26,7 +26,7 @@ from . import __version__
 from .energy import (
     DEFAULT_MAX_PAIRS,
     BudgetError,
-    additive_energy,
+    _energies,
     check_pair_budget,
     energy_scaling,
 )
@@ -404,7 +404,8 @@ def _run_build_seq(p: dict[str, object], ctx: RunContext) -> None:
 
 
 def _run_energy(p: dict[str, object], ctx: RunContext) -> None:
-    # the size is known before any load from energy.n or a classic family's seq.n
+    # the size is known before any load from energy.n or a classic family's
+    # seq.n: its elements alone can go over the budget
     n = p["energy.n"]
     if n is None and p.get("seq.file") is None and p.get("seq.family") in _CLASSIC:
         n = p.get("seq.n")
@@ -413,8 +414,12 @@ def _run_energy(p: dict[str, object], ctx: RunContext) -> None:
     seq = _load_sequence(p)
     if n is None:
         n = len(as_elements(seq))
-        check_pair_budget([n], p["energy.max_pairs"])
-    value = additive_energy(truncate(seq, n))
+    elements = truncate(seq, n)
+    if not elements:
+        raise ValueError("need a nonempty set of integers")
+    # the elements are strictly increasing (files and families ensure it),
+    # and the pass charges its work before it forms a pair
+    (value,), _ = _energies(elements, [n], p["energy.max_pairs"])
     print(f"n = {n}")
     print(f"E = {value}")
     ctx.finish()

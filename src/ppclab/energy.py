@@ -9,21 +9,23 @@ the quadruples by their common difference.
 Three independent routes are implemented and kept separate on purpose:
 
 * ``additive_energy`` and ``energy_scaling`` — the production path, one
-  evaluator for a whole grid of prefixes.  The runs of consecutive
-  elements (after reducing by the gcd of the gaps) are split off: every
-  pair with a run member is counted as a trapezoid, one per run and
-  partner block, whose sum of squares is closed-form between breakpoints
-  whose exact positions come from Python-int differences.  The pairs of the
-  remaining points are keyed by a residue of their difference modulo a
-  prime M0 < 2^62, tagged with the shortest prefix that holds them,
-  generated a bounded key range at a time, sorted and counted in runs with
-  numpy.  Runs of equal keys are certified equal by where their elements
-  lie (segments of width below M0 / 2), or else compared by their exact
-  Python-int differences.  A point pair whose difference lands in a
-  trapezoid's support by residue is confirmed from its Python-int
-  difference for the cross term.  So every count is exact and the working
-  set is bounded by a fixed pair cap (2n pairs when that is more).  A set
-  with no runs, or too few to pay, goes through the key pass whole;
+  evaluator for a whole grid of prefixes.  Where it pays, the runs of
+  consecutive elements (after reducing by the gcd of the gaps) are split
+  off and the remaining points taken as geometric families b + 2^i, i in
+  [lo, hi] (maximal chains of points whose gaps double): every pair with a
+  run member is counted as a trapezoid, one per run and partner block,
+  whose sum of squares is closed-form between breakpoints whose exact
+  positions come from Python-int differences, and the pairs of the
+  families are counted without being formed, from closed forms and from
+  exact solutions of small power-of-two equations, filtered by the weight
+  of a non-adjacent form.  Otherwise every pair is keyed by a residue of
+  its difference modulo a prime M0 < 2^62, tagged with the shortest prefix
+  that holds it, generated a bounded key range at a time, sorted and
+  counted in runs with numpy.  Runs of equal keys are certified equal by
+  where their elements lie (segments of width below M0 / 2), or else
+  compared by their exact Python-int differences.  So every count is exact
+  and the working set is bounded by a fixed pair cap (2n pairs when that
+  is more);
 * ``additive_energy_bruteforce`` — enumeration straight from the
   definition, for oracle duty on small sets;
 * ``additive_energy_convolution`` — an FFT autocorrelation cross-check,
@@ -108,26 +110,33 @@ def energy_from_reps(reps: RepCounts) -> int:
     return sum(c * c for c in reps.counts.values())
 
 
-# The default budget admits sum n^2 <= 2^24 over the requested prefixes: one
-# set of up to 4096 elements, or several smaller checkpoints.  One pass forms
-# at most the n(n-1)/2 pairs of the longest prefix, and only the point pairs
-# when runs are split off, so a request within budget forms at most 2^23
-# pairs.  A run-free set takes 1.2-1.7 s at that size (the first 4096 primes
-# and squares, 2 cores); the block sequences, whose runs hold about half of
-# their elements, send about a quarter of their pairs through the key pass.
+# The default budget admits 2^24 operations: one key pass over the pairs of
+# a run-free set of up to 4096 elements (1.2-1.7 s for the first 4096
+# primes or squares, 2 cores), or far larger sets whose runs and geometric
+# families are counted in closed form.
 DEFAULT_MAX_PAIRS = 1 << 24
 
 
 def check_pair_budget(sizes: Iterable[int], max_pairs: int | None) -> None:
-    """Refuse energy work on sets of the given sizes when its sum of n^2
-    pair operations exceeds ``max_pairs`` (None: no budget).  Call it
-    before any difference is formed."""
-    if max_pairs is None:
+    """Refuse energy work on prefixes of the given sizes whose elements alone
+    exceed ``max_pairs`` operations (None: no budget), before the set is
+    loaded: an element costs at least ``_INT_STEP``.  The pass itself
+    charges its whole work (``_energies``)."""
+    sizes = list(sizes)
+    n = max(sizes)
+    _charge(sizes, max_pairs, lambda: min(n * n, _INT_STEP * n))
+
+
+def _charge(sizes: list[int], max_pairs: int | None, work) -> None:
+    """Raise ``BudgetError`` when ``work()`` exceeds ``max_pairs``.  A pass
+    never does more than n^2 operations for its longest prefix n, so a
+    request whose sum of n^2 is within the budget is admitted unseen."""
+    if max_pairs is None or sum(n * n for n in sizes) <= max_pairs:
         return
-    total_pairs = sum(n * n for n in sizes)
-    if total_pairs > max_pairs:
+    total = work()
+    if total > max_pairs:
         raise BudgetError(
-            f"about {total_pairs} pair operations requested, over the "
+            f"about {total} pair operations requested, over the "
             f"budget of {max_pairs}"
         )
 
@@ -147,20 +156,10 @@ _SPREAD = 0x18722191A02D60DB
 # has to be halved some sixty times down to a single heavy key.  (A range of
 # a single key is counted whole, however many pairs share it.)
 _PAIR_CAP = 1 << 15
-# The run split may spend on Python-int steps (a piece's base in a chain of
-# several, a point pair near a piece, a piece evaluated at a point pair's
-# difference) at most 1/64 of the pairs it keeps out of the key pass, or
-# _PAIR_CAP steps.  One such step costs about as much as 10 to 16 pairs of
-# the key pass (1.5-2.5 us against 0.15 us), so a split given up has cost at
-# most about a quarter of what it would have saved.  It is given up where
-# the pieces overlap densely: 1000 to 3000 random elements of a range 1.25
-# to 2 times their number, or two such sets far apart, took the same time as
-# the key pass alone (0.1-0.7 s); kept, they took up to 500 s.
-_SPLIT_SHARE = 64
-
-
-class _SplitUnpaid(Exception):
-    """The run split went over its budget of Python-int steps."""
+# The key-pass pairs that one Python-int step is charged as: an element's
+# reduction and scan, or one item of the family counts (a set, a pair of
+# sets, a window test), each a few big-int operations of 1.5-3 us.
+_INT_STEP = 16
 
 
 def additive_energy(a: Iterable[int], method: str = "sorted") -> int:
@@ -168,10 +167,10 @@ def additive_energy(a: Iterable[int], method: str = "sorted") -> int:
 
     E = n^2 + 2 * sum over d > 0 of r(d)^2, where r(d) counts the pairs at
     difference d.  This is the one-cell case of the prefix-grid evaluator
-    ``_energies`` (whose docstring gives the run split, the keys, the key
-    ranges and the certificates that keep the count exact): the set is
-    sorted and counted as the single prefix of its full length.  ``method`` accepts only
-    "sorted", the one route.
+    ``_energies`` (whose docstring gives the run split, the families, the
+    keys, the key ranges and the certificates that keep the count exact):
+    the set is sorted and counted as the single prefix of its full length.
+    ``method`` accepts only "sorted", the one route.
     """
     if method != "sorted":
         raise ValueError(f"unknown method {method!r}; the only route is 'sorted'")
@@ -190,18 +189,15 @@ class _KeyPass:
     cells: np.ndarray
     n_cells: int
     segments: np.ndarray
-    # with runs split off: the run part, and each element's y mod M0 and
-    # rank in increasing y
-    runs: "_RunPart | None" = None
-    plain: np.ndarray | None = None
-    ranks: np.ndarray | None = None
 
 
-def _energies(xs: Sequence[int], ns: Sequence[int]) -> tuple[list[int], dict[str, int]]:
+def _energies(xs: Sequence[int], ns: Sequence[int],
+              max_pairs: int | None = None) -> tuple[list[int], dict[str, int]]:
     """E(xs[:n]) for every n in ``ns``, exactly, from one pass over the pairs
     of xs[:max(ns)]; ``xs`` must be strictly increasing.  Also returns what
-    the pass split off: the counts of runs, points, point pairs, trapezoid
-    pieces and confirmed cross hits.
+    the pass split off (``_Plan.counts``).  With ``max_pairs``, a pass whose
+    work (``_Plan.work``) exceeds it is refused with ``BudgetError`` before
+    any piece or pair is formed.
 
     E = n^2 + 2 * sum over d > 0 of r(d)^2, where r(d) counts the pairs at
     difference d.  The longest prefix is reduced to y = (x - min) / g (g the
@@ -222,14 +218,42 @@ def _energies(xs: Sequence[int], ns: Sequence[int]) -> tuple[list[int], dict[str
     r_R is a sum of pieces (``_RunPart``): a run against a block above it or
     a point below it adds a trapezoid, a run against itself the ramp L - d,
     and sum r_R^2 follows in closed form between their breakpoints.  The
-    point pairs go through the key pass below, which also takes the cross
-    term: a point pair whose difference lands near r_R's support by its
-    residue mod M0 is confirmed from its Python-int difference.  The split
-    is taken only when its work, one per point pair and one per piece, is
-    at most half of the n(n - 1)/2 pairs it replaces, and it is given up
-    (``_SplitUnpaid``) once its Python-int steps exceed their budget
-    (``_SPLIT_SHARE``).  Without a split every element is a point and the
-    pass is the key pass alone.
+    point pairs and the cross term are counted by the geometric families
+    below.  The split is taken only when its work, one per piece and
+    ``_INT_STEP`` per item of the family counts (``_Families.items``), is at
+    most half of the n(n - 1)/2 pairs of the key pass; otherwise every
+    element is a point and the pass is the key pass alone.  A family has at
+    most bits(S + 1) members, so the points are not even scanned for
+    families when the fewest families they could form would not pay.
+
+    Geometric families (``_Families``).  The points, in order, are cut into
+    families F_t = {b_t + 2^i : i in I_t = [lo_t, hi_t]}: maximal chains of
+    consecutive points of one cell, with no run between them, whose first
+    gap is a power of two and whose every next gap doubles the last; a point
+    no chain takes is a one-member family.  The families are ordered, so
+    the positive point differences are the union over the sets s = (t, u),
+    t >= u, of D_s = {Delta_s + 2^i - 2^l : i in I_t, l in I_u}, with
+    Delta_s = b_t - b_u and, for t = u, i > l.  Inside one D_s the value
+    2^i - 2^l fixes (i, l), so every value has one pair but Delta_s itself,
+    which has c = |I_t & I_u| pairs:
+
+        sum r_PP^2 = sum over s of (|I_t||I_u| - c + c^2, or |I_t|(|I_t| - 1)/2
+                     for t = u) + 2 * sum over s < s' of N(s, s'),
+
+    where N(s, s') counts the (i, l, a, c) in their ranges with
+    2^i - 2^l - 2^a + 2^c = delta = Delta_s' - Delta_s (``_count4``).  Every
+    value of a set is positive, so a set t = u needs no i > l test against
+    another set; two such sets count their zero and negative solutions too,
+    N = (count - |I_t||I_t'|) / 2.  A signed sum of four powers of two has a
+    non-adjacent form (NAF) of weight at most 4, and the NAF weight of m is
+    the popcount of (3m ^ m) >> 1: one big-int operation drops almost every
+    pair of sets.  The cross term becomes window counts: a family below a
+    run (first y u, length L) meets it in the boxes u - b - 2^m + [0, L), a
+    family above it in b + 2^m - u - [0, L), so a set and a family count
+    the (i, l, m) with 2^i - 2^l +- 2^m in one window (``_box_hits``); two
+    runs give a trapezoid, summed segment by segment over the (i, l) with
+    2^i - 2^l in its window (``_pair_window``).  Every term goes to the
+    latest cell among its families and runs.
 
     The key pass.  Each pair is keyed by the circular distance between its
     two residues SPREAD * y mod M0, a function of the difference alone.  The
@@ -263,49 +287,120 @@ def _energies(xs: Sequence[int], ns: Sequence[int]) -> tuple[list[int], dict[str
         raise ValueError(f"prefix lengths must lie in 1..{len(xs)}")
     n = grid[-1]
     xs = xs[:n]
-    if any(u >= v for u, v in zip(xs, xs[1:])):
-        raise ValueError("elements must be strictly increasing")
     increments = np.zeros(len(grid), dtype=np.int64)
-    runs = None
+    split = dict(_NO_SPLIT, points=n, point_pairs=n * (n - 1) // 2)
+    check_pair_budget(ns, max_pairs)
     if n > 1:
-        base = xs[0]
-        step = math.gcd(*(v - u for u, v in zip(xs, xs[1:])))
-        ys = [(x - base) // step for x in xs]
-        # the cell of element i is the first prefix that holds it
-        cells = np.searchsorted(np.array(grid), np.arange(n), side="right").astype(np.int32)
-        runs = _RunPart.split(ys, cells, len(grid))
-        try:
-            increments = _square_sums(ys, cells, len(grid), runs)
-        except _SplitUnpaid:
-            runs = None
-            increments = _square_sums(ys, cells, len(grid), None)
+        plan = _Plan(xs, grid)
+        _charge(ns, max_pairs, lambda: plan.work)
+        increments = plan.square_sums()
+        split = plan.counts()
     energy = {m: m * m + 2 * s for m, s in zip(grid, np.cumsum(increments).tolist())}
-    split = runs.counts() if runs is not None else {
-        "runs": 0, "points": n, "point_pairs": n * (n - 1) // 2, "pieces": 0, "cross_hits": 0,
-    }
     return [energy[m] for m in ns], split
 
 
-def _square_sums(ys: list[int], cells: np.ndarray, n_cells: int,
-                 runs: "_RunPart | None") -> np.ndarray:
-    """Each cell's increment of the sum of r(d)^2 over the pairs of the
-    reduced ``ys``: the run part's, then the key pass over the points."""
-    increments = np.zeros(n_cells, dtype=np.int64)
-    points = range(len(ys)) if runs is None else runs.points.tolist()
-    if runs is not None:
-        increments += runs.square_sums()
-    for part in _key_pass([ys[i] for i in points], cells[points], n_cells, runs):
-        increments += part
-    return increments
+_NO_SPLIT = {"runs": 0, "points": 0, "point_pairs": 0, "pieces": 0, "cross_hits": 0,
+             "families": 0, "family_members": 0, "sets": 0, "set_pairs": 0,
+             "set_pairs_kept": 0}
 
 
-def _key_pass(ys: list[int], cells: np.ndarray, n_cells: int, runs: "_RunPart | None"):
+def _reduced(xs: Sequence[int]) -> tuple[list[int], np.ndarray]:
+    """The reduced y = (x - x[0]) / g of the n >= 2 ``xs`` (g the gcd of
+    their gaps), and where a gap is g: where y[i + 1] = y[i] + 1.  Elements
+    whose span fits an int64 are read by numpy, others as Python ints.
+    Raises ``ValueError`` unless ``xs`` is strictly increasing."""
+    try:
+        words = np.array(xs, dtype=np.int64)
+    except OverflowError:
+        words = None
+    if words is not None and int(words.max()) - int(words.min()) < 1 << 63:
+        gaps = np.diff(words)
+        if (gaps <= 0).any():
+            raise ValueError("elements must be strictly increasing")
+        step = int(np.gcd.reduce(gaps))
+        return ((words - words[0]) // step).tolist(), gaps == step
+    gaps = [v - u for u, v in zip(xs, xs[1:])]
+    if min(gaps) <= 0:
+        raise ValueError("elements must be strictly increasing")
+    step = math.gcd(*gaps)
+    return ([(x - xs[0]) // step for x in xs],
+            np.fromiter((g == step for g in gaps), dtype=bool, count=len(gaps)))
+
+
+def _blocks(joined: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks in order, as (first index, length): the runs, maximal
+    stretches of consecutive y (``joined`` neighbours) inside one cell, and
+    single points between them."""
+    joined = joined & (cells[1:] == cells[:-1])  # a run lies inside one cell
+    starts = np.flatnonzero(np.concatenate(([True], ~joined)))
+    return starts, np.diff(np.append(starts, len(cells)))
+
+
+class _Plan:
+    """One pass over xs[:max(grid)] (n >= 2): the reduced elements, their
+    cells, the run part and the families when the split is taken, and the
+    work the pass will do, all before any pair is formed (see
+    ``_energies``)."""
+
+    def __init__(self, xs: Sequence[int], grid: list[int]) -> None:
+        n = len(xs)
+        ys, joined = _reduced(xs)
+        self.ys = ys
+        self.n_cells = len(grid)
+        # the cell of element i is the first prefix that holds it
+        self.cells = np.searchsorted(np.array(grid), np.arange(n), side="right").astype(np.int32)
+        self.runs = self.families = None
+        # the key pass alone: every pair, and a Python-int step per element
+        self.work = min(n * n, _INT_STEP * n + n * (n - 1) // 2)
+        starts, lengths = _blocks(joined, self.cells)
+        n_runs = int((lengths >= 2).sum())
+        runs = _RunPart(ys, self.cells, self.n_cells, starts, lengths) if n_runs else None
+        pieces = 0 if runs is None else runs.n_pieces
+        # the split pays when its work is at most half of the key pass's
+        limit = n * (n - 1) // 4
+        fewest = -(-int((lengths == 1).sum()) // (ys[-1] + 1).bit_length())
+        if pieces + _INT_STEP * _Families.items(fewest, n_runs) > limit:
+            return
+        families = _Families.find(ys, self.cells, starts, lengths)
+        family_work = _INT_STEP * _Families.items(len(families.families), n_runs)
+        if pieces + family_work > limit or runs is not None and not runs.fits:
+            return
+        self.runs, self.families = runs, families
+        self.run_list = [(ys[starts[b]], int(lengths[b]), int(self.cells[starts[b]]), b)
+                         for b in np.flatnonzero(lengths >= 2).tolist()]
+        self.work = min(n * n, _INT_STEP * n + pieces + family_work)
+
+    def square_sums(self) -> np.ndarray:
+        """Each cell's increment of the sum of r(d)^2 over the pairs of the
+        reduced ``ys``: the run part's plus the families', or the key
+        pass's."""
+        increments = np.zeros(self.n_cells, dtype=np.int64)
+        if self.families is None:
+            for part in _key_pass(self.ys, self.cells, self.n_cells):
+                increments += part
+            return increments
+        if self.runs is not None:
+            increments += self.runs.square_sums()
+        increments += self.families.square_sums(self.n_cells, self.run_list)
+        return increments
+
+    def counts(self) -> dict[str, int]:
+        """What the pass split off: runs, points, the point pairs of the key
+        pass, trapezoid pieces, cross hits ((point pair, piece) incidences)
+        and the families' counts (``_Families.counts``)."""
+        n = len(self.ys)
+        out = dict(_NO_SPLIT, points=n, point_pairs=n * (n - 1) // 2)
+        if self.families is not None:
+            if self.runs is not None:
+                out.update(self.runs.counts())
+            out.update(self.families.counts(), point_pairs=0)
+        return out
+
+
+def _key_pass(ys: list[int], cells: np.ndarray, n_cells: int):
     """Yield, per key range, each grid cell's increment of the sum of
-    r(d)^2 over the pairs of the increasing ``ys`` (with their ``cells``),
-    plus twice the cross term with ``runs`` when given."""
+    r(d)^2 over the pairs of the increasing ``ys`` (with their ``cells``)."""
     n = len(ys)
-    if n < 2:
-        return
     rho = np.array([_SPREAD * y % _M0 for y in ys], dtype=np.int64)
     order = np.argsort(rho, kind="stable")  # ties keep increasing y
     state = _KeyPass(
@@ -314,9 +409,6 @@ def _key_pass(ys: list[int], cells: np.ndarray, n_cells: int, runs: "_RunPart | 
         cells=cells[order],
         n_cells=n_cells,
         segments=_segments(ys)[order],
-        runs=runs,
-        plain=None if runs is None else np.array([y % _M0 for y in ys], dtype=np.int64)[order],
-        ranks=None if runs is None else order.astype(np.int32),
     )
     cap = max(_PAIR_CAP, 2 * n)
     lo = _key_boundary(state.rho, 0)
@@ -380,7 +472,7 @@ def _range_pairs(rho: np.ndarray, slices) -> tuple[np.ndarray, np.ndarray, np.nd
 def _range_increments(state: _KeyPass, slices) -> np.ndarray:
     """Each cell's increment of the sum of r(d)^2 over the differences of one
     key range, given its direct and wrapped slices (start, length, wstart,
-    wlength), plus twice the cross term of its pairs with the run part."""
+    wlength)."""
     p, q, keys = _range_pairs(state.rho, slices)
     cells = np.maximum(state.cells[p], state.cells[q])
     in_repeated = np.zeros(len(keys), dtype=bool)
@@ -388,8 +480,6 @@ def _range_increments(state: _KeyPass, slices) -> np.ndarray:
     in_repeated[:-1] |= in_repeated[1:]
     # a key of one pair counts 1 from its cell on
     increments = np.bincount(cells[~in_repeated], minlength=state.n_cells)
-    if state.runs is not None:
-        increments += 2 * state.runs.cross(state, p, q, cells)
     if not in_repeated.any():
         return increments
     # the pairs of the repeated runs, run by run
@@ -449,35 +539,6 @@ def _square_counts(k: np.ndarray) -> np.ndarray:
     return k * (k + 1) * (2 * k + 1) // 6
 
 
-@dataclass(frozen=True)
-class _Windows:
-    """Residue windows sorted by start, with the piece of each, the widest
-    window, the running maximum of their ends, and a table of the buckets
-    (top bits of a residue) they touch."""
-
-    start: np.ndarray
-    end: np.ndarray
-    piece: np.ndarray
-    widest: int
-    reach: np.ndarray
-    shift: int
-    buckets: np.ndarray
-
-    def near(self, x: np.ndarray) -> np.ndarray:
-        """Which residues x lie in a window."""
-        near = np.flatnonzero(self.buckets[x >> self.shift])
-        i = np.searchsorted(self.start, x[near], side="right") - 1
-        hit = np.zeros(len(x), dtype=bool)
-        hit[near] = (i >= 0) & (x[near] <= self.reach[i])
-        return hit
-
-    def pieces_at(self, x: int) -> list[int]:
-        """The pieces whose window holds x."""
-        j = int(np.searchsorted(self.start, x, side="right"))
-        i = int(np.searchsorted(self.start, x - self.widest, side="left"))
-        return self.piece[i:j][self.end[i:j] >= x].tolist()
-
-
 class _RunPart:
     """The pairs with a run member, as pieces of r_R (see ``_energies``).
 
@@ -503,24 +564,30 @@ class _RunPart:
     stretches between its pieces' breakpoints, and a lone piece's is
     2 * (1^2 + ... + (m - 1)^2) + (|Lu - Lv| + 1) * m^2 with m = min(Lu, Lv),
     or 1^2 + ... + (L - 1)^2 for a ramp.
-
-    A point pair whose difference d gives r_R(d) > 0 lies in the support
-    [base + lo, base + hi] of a piece, so d mod M0 lies in that support's
-    residue window.  ``cross`` looks every point pair of a key range up in
-    a bucket table of the windows (the top bits of the residue), then in
-    the sorted windows, and confirms each pair that is near from the
-    Python-int d and the Python-int base of each piece it is near.
     """
 
-    def __init__(self, ys, cells, n_cells, starts, lengths, runs, points, below, width, budget):
+    def __init__(self, ys: list[int], cells: np.ndarray, n_cells: int, starts: np.ndarray,
+                 lengths: np.ndarray) -> None:
+        """The layout of the pieces of the increasing ``ys`` (with their
+        cells and ``_blocks``, at least one a run), and their number."""
         self.ys = ys
         self.n_cells = n_cells
         self.starts = starts
-        self.width = width
-        self.budget = budget
-        self.n_runs = len(runs)
-        self.points = starts[points]
-        self.hits = 0
+        runs = np.flatnonzero(lengths >= 2)
+        points = np.flatnonzero(lengths == 1)
+        below = np.searchsorted(points, runs)
+        self.n_runs, self.n_points = len(runs), len(points)
+        self.n_pieces = int((len(starts) - runs).sum() + below.sum())
+        self.width = 2 * int(lengths.max())
+        # the chains of ``_groups`` must span less than M0 / 4
+        self.fits = self.n_pieces * (self.width + 1) < _M0 // 4
+        self._layout = (cells, lengths, runs, points, below)
+
+    def _build(self) -> None:
+        """The pieces, built by ``square_sums`` so that the split's work is
+        known, and can be refused, before any is formed."""
+        cells, lengths, runs, points, below = self._layout
+        ys, starts = self.ys, self.starts
         n_blocks = len(starts)
         # a run pairs with every block from itself on, and every point below it
         runs, points = runs.astype(np.int32), points.astype(np.int32)
@@ -539,44 +606,8 @@ class _RunPart:
         self.hi = self.lu - 1
         self.res = (block_res[upper] - block_res[lower]) % _M0  # base mod M0
 
-    @classmethod
-    def split(cls, ys: list[int], cells: np.ndarray, n_cells: int) -> "_RunPart | None":
-        """The run part of the increasing ``ys`` (with their cells), or None
-        when there is no run or the split does not pay."""
-        n = len(ys)
-        joined = np.fromiter((v - u == 1 for u, v in zip(ys, ys[1:])), dtype=bool, count=n - 1)
-        joined &= cells[1:] == cells[:-1]  # a run lies inside one cell
-        starts = np.flatnonzero(np.concatenate(([True], ~joined)))
-        lengths = np.diff(np.append(starts, n))
-        runs = np.flatnonzero(lengths >= 2)
-        points = np.flatnonzero(lengths == 1)
-        below = np.searchsorted(points, runs)
-        n_pieces = int((len(starts) - runs).sum() + below.sum())
-        n_points = len(points)
-        width = 2 * int(lengths.max())
-        point_pairs = n_points * (n_points - 1) // 2
-        if (not len(runs)
-                or n_pieces + point_pairs > n * (n - 1) // 4
-                or n_pieces * (width + 1) >= _M0 // 4):
-            return None
-        budget = max((n * (n - 1) // 2 - point_pairs) // _SPLIT_SHARE, _PAIR_CAP)
-        return cls(ys, cells, n_cells, starts, lengths, runs, points, below, width, budget)
-
-    def _spend(self, steps: int) -> None:
-        """Take Python-int steps from the budget; raise once it is spent."""
-        self.budget -= steps
-        if self.budget < 0:
-            raise _SplitUnpaid
-
     def counts(self) -> dict[str, int]:
-        n_points = len(self.points)
-        return {"runs": self.n_runs, "points": n_points,
-                "point_pairs": n_points * (n_points - 1) // 2,
-                "pieces": len(self.upper), "cross_hits": self.hits}
-
-    def _base(self, k: int) -> int:
-        """The Python-int base of piece k."""
-        return self.ys[self.starts[self.upper[k]]] - self.ys[self.starts[self.lower[k]]]
+        return {"runs": self.n_runs, "points": self.n_points, "pieces": self.n_pieces}
 
     def _groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pieces of the chains longer than one, group by group, with
@@ -591,7 +622,6 @@ class _RunPart:
         chain = np.concatenate(([0], np.cumsum(np.diff(r) > self.width)))
         in_long = np.bincount(chain)[chain] > 1
         long, chain = order[in_long], chain[in_long]
-        self._spend(len(long))
         tops, bottoms = self.starts[self.upper[long]], self.starts[self.lower[long]]
         edges = np.flatnonzero(np.diff(chain, prepend=-1)).tolist() + [len(long)]
         shared = np.empty(len(long), dtype=np.int64)
@@ -610,33 +640,9 @@ class _RunPart:
                 i, last = i + 1, base
         return shared, group, offset
 
-    @cached_property
-    def windows(self) -> "_Windows":
-        """The residue windows of the pieces' supports, built on the first
-        point pair looked up (the groups are paid for by then)."""
-        start = (self.res + self.lo) % _M0
-        end = start + (self.hi - self.lo)
-        wraps = end >= _M0  # split where a window wraps past M0
-        ws = np.concatenate((start, np.zeros(int(wraps.sum()), dtype=np.int64)))
-        we = np.concatenate((np.minimum(end, _M0 - 1), end[wraps] - _M0))
-        del start, end
-        wk = np.concatenate((np.arange(len(self.res), dtype=np.int32),
-                             np.flatnonzero(wraps).astype(np.int32)))
-        by_start = np.argsort(ws, kind="stable")
-        ws, we, wk = ws[by_start], we[by_start], wk[by_start]
-        # at most one bucket in sixteen is touched
-        bits = min(22, max(16, len(ws).bit_length() + 4))
-        shift = _M0.bit_length() - bits
-        buckets = np.zeros(1 << bits, dtype=bool)
-        buckets[ws >> shift] = True
-        # a window spans at most 2n residues and a bucket 2^40 or more, so a
-        # window touches the buckets of its two ends only
-        buckets[we >> shift] = True
-        return _Windows(start=ws, end=we, piece=wk, widest=int((we - ws).max()),
-                        reach=np.maximum.accumulate(we), shift=shift, buckets=buckets)
-
     def square_sums(self) -> np.ndarray:
         """Each cell's increment of the sum of r_R(d)^2 over d > 0."""
+        self._build()
         out = np.zeros(self.n_cells, dtype=np.int64)
         shared, group, offset = self._groups()
         lone = np.ones(len(self.res), dtype=bool)
@@ -680,33 +686,6 @@ class _RunPart:
         cell = np.repeat(self.cell[pieces], 4)
         return pos.ravel()[order], jump.ravel()[order], slope.ravel()[order], cell[order]
 
-    def cross(self, state: _KeyPass, p: np.ndarray, q: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Each cell's increment of the cross term, the sum of r_R(d) over
-        the point pairs p -> q of one key range (cells: the pairs' cells)."""
-        # the residue of the positive difference: x in (-M0, M0), then + M0
-        # where it is negative (x >> 63 is -1 there, 0 elsewhere)
-        x = state.plain[q] - state.plain[p]
-        np.negative(x, out=x, where=state.ranks[p] > state.ranks[q])
-        x += (x >> 63) & _M0
-        windows = self.windows
-        near = np.flatnonzero(windows.near(x))
-        self._spend(len(near))
-        out = [0] * self.n_cells
-        differences = np.abs(state.ys[q[near]] - state.ys[p[near]])
-        for d, c, r in zip(differences.tolist(), cells[near].tolist(), x[near].tolist()):
-            # r = d mod M0
-            hit = False
-            pieces = windows.pieces_at(r)
-            self._spend(len(pieces))
-            for k in pieces:
-                e = d - self._base(k)
-                lu, lv = int(self.lu[k]), int(self.lv[k])
-                if int(self.lo[k]) <= e < lu:
-                    out[max(c, int(self.cell[k]))] += min(e + lv, lu - e, lu, lv)
-                    hit = True
-            self.hits += hit
-        return np.array(out, dtype=np.int64)
-
 
 def _breakpoint_square_sum(pos, jump, slope) -> int:
     """The sum of f(d)^2 over every d, for breakpoints sorted by group and
@@ -725,6 +704,313 @@ def _breakpoint_square_sum(pos, jump, slope) -> int:
     total = (length * v * v + v * s * length * (length - 1)
              + (s * (length - 1)) * (s * length * (2 * length - 1)) // 6)
     return int(total.sum())
+
+
+class _Families:
+    """The points as geometric families b + 2^i, i in [lo, hi], in order,
+    each given as (b, lo, hi, cell, block index) (see ``_energies``)."""
+
+    def __init__(self, families: list[tuple[int, int, int, int, int]]) -> None:
+        self.families = families
+        self.kept = self.hits = 0
+
+    @cached_property
+    def sets(self) -> list[tuple[int, tuple[int, int], tuple[int, int], bool, int]]:
+        """The sets s = (t, u), t >= u: (Delta_s, I_t, I_u, t == u, cell of t)."""
+        return [(b - b2, (lo1, hi1), (lo2, hi2), t == u, c)
+                for t, (b, lo1, hi1, c, _) in enumerate(self.families)
+                for u, (b2, lo2, hi2, _, _) in enumerate(self.families[:t + 1])]
+
+    @classmethod
+    def find(cls, ys: list[int], cells: np.ndarray, starts: np.ndarray,
+             lengths: np.ndarray) -> "_Families":
+        """The families of the points among the ``_blocks``: greedy chains of
+        consecutive single blocks of one cell whose first gap is a power of
+        two and whose every next gap doubles the last; a point that starts
+        no chain is b + 2^0 with b = y - 1."""
+        first = [ys[i] for i in starts.tolist()]
+        single = (lengths == 1).tolist()
+        block_cells = cells[starts].tolist()
+        families = []
+        k = 0
+        while k < len(first):
+            if not single[k]:
+                k += 1
+                continue
+            j, gap = k, 0
+            while j + 1 < len(first) and single[j + 1] and block_cells[j + 1] == block_cells[k]:
+                g = first[j + 1] - first[j]
+                if (g != 2 * gap) if gap else (g & (g - 1)):
+                    break
+                j, gap = j + 1, g
+            e = (first[k + 1] - first[k]).bit_length() - 1 if j > k else 0
+            families.append((first[k] - (1 << e), e, e + j - k, block_cells[k], k))
+            k = j + 1
+        return cls(families)
+
+    @staticmethod
+    def items(f: int, n_runs: int) -> int:
+        """The work of the family counts for f families: the sets, their
+        pairs, and a window test per set and run against a family or a run;
+        it grows with f."""
+        s = f * (f + 1) // 2
+        return s + s * (s - 1) // 2 + s * n_runs * f + s * n_runs * (n_runs + 1) // 2
+
+    def counts(self) -> dict[str, int]:
+        members = [hi - lo + 1 for _, lo, hi, _, _ in self.families if hi > lo]
+        s = len(self.sets)
+        return {"families": len(members), "family_members": sum(members), "sets": s,
+                "set_pairs": s * (s - 1) // 2, "set_pairs_kept": self.kept,
+                "cross_hits": self.hits}
+
+    def square_sums(self, n_cells: int, runs: list[tuple[int, int, int, int]]) -> np.ndarray:
+        """Each cell's increment of sum r_PP^2 plus twice the cross term with
+        the ``runs``, each given as (first y, length, cell, block index)."""
+        out = [0] * n_cells
+        sets = self.sets
+        for delta, (lo1, hi1), (lo2, hi2), diagonal, c in sets:
+            if diagonal:
+                out[c] += (hi1 - lo1 + 1) * (hi1 - lo1) // 2
+            else:
+                shared = _span(max(lo1, lo2), min(hi1, hi2))
+                out[c] += (hi1 - lo1 + 1) * (hi2 - lo2 + 1) - shared + shared * shared
+        for x, (d1, i1, l1, diagonal1, c1) in enumerate(sets):
+            for d2, i2, l2, diagonal2, c2 in sets[x + 1:]:
+                delta = d2 - d1
+                if _naf_weight(delta) > 4:
+                    continue
+                self.kept += 1
+                count = _count4(i1, l1, i2, l2, delta)
+                if diagonal1 and diagonal2:
+                    count = (count - (i1[1] - i1[0] + 1) * (i2[1] - i2[0] + 1)) // 2
+                out[max(c1, c2)] += 2 * count
+        for u, length, run_cell, run_block in runs:
+            self._boxes(out, u, length, run_cell, run_block)
+        for x, (v, lv, v_cell, _) in enumerate(runs):
+            for u, lu, u_cell, _ in runs[x:]:
+                self._trapezoid(out, u - v, lu, lv, u == v, max(u_cell, v_cell))
+        return np.array(out, dtype=np.int64)
+
+    def _boxes(self, out: list[int], u: int, length: int, run_cell: int, run_block: int) -> None:
+        """Add twice the cross term of one run with every family member: a
+        member p below the run meets it at p + d in [u, u + L), one above it
+        at p - d in [u, u + L)."""
+        for b, f_lo, f_hi, f_cell, f_block in self.families:
+            sign = 1 if f_block < run_block else -1
+            offset = u - b if sign > 0 else b - u - length + 1
+            for delta, i_range, l_range, diagonal, c in self.sets:
+                lo = offset - delta
+                count = _box_hits(i_range, l_range, (f_lo, f_hi), sign, lo, lo + length - 1,
+                                  diagonal)
+                if count:
+                    self.hits += count
+                    out[max(c, run_cell, f_cell)] += 2 * count
+
+    def _trapezoid(self, out: list[int], base: int, lu: int, lv: int, ramp: bool,
+                   cell: int) -> None:
+        """Add twice the cross term with one run piece: the ramp L - e at
+        1 <= e < L, or the trapezoid min(e + Lv, Lu - e, Lu, Lv), at
+        e = d - base, as segments (first e, last e, value at 0, slope)."""
+        if ramp:
+            segments = [(1, lu - 1, lu, -1)]
+        else:
+            m = min(lu, lv)
+            segments = [(1 - lv, m - lv, lv, 1), (m - lv + 1, lu - m - 1, m, 0),
+                        (max(lu - m, m - lv + 1), lu - 1, lu, -1)]
+        first, last = segments[0][0], lu - 1
+        shift = (last - first).bit_length()
+        for delta, i_range, l_range, diagonal, c in self.sets:
+            # 2^i - 2^l in a window narrower than 2^shift: the terms from
+            # 2^shift on sum to 2^shift H, H within 2 above h, so h has NAF
+            # weight at most 3
+            if _naf_weight((first + base - delta) >> shift) > 3:
+                continue
+            total = 0
+            for e1, e2, value, slope in segments:
+                if e1 <= e2:
+                    count, value_sum = _pair_window(i_range, l_range, e1 + base - delta,
+                                                    e2 + base - delta, diagonal)
+                    total += value * count + slope * (value_sum + count * (delta - base))
+                    self.hits += count
+            out[max(c, cell)] += 2 * total
+
+
+def _span(lo: int, hi: int) -> int:
+    return hi - lo + 1 if hi >= lo else 0
+
+
+def _naf_weight(m: int) -> int:
+    """The number of nonzero digits of the non-adjacent form of m, the
+    fewest signed powers of two that sum to m."""
+    m = abs(m)
+    return ((3 * m ^ m) >> 1).bit_count()
+
+
+def _naf_digits(m: int) -> list[int]:
+    """The positions of the nonzero digits of the non-adjacent form of m."""
+    m = abs(m)
+    x = (3 * m ^ m) >> 1
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _count3(x_range, y_range, z_range, target: int) -> int:
+    """#{(x, y, z) in the ranges (lo, hi) : 2^x - 2^y + 2^z = target}.
+
+    If y = x, 2^z = target; if y = z (and not x), 2^x = target.  Otherwise
+    target + 2^y = 2^x + 2^z has at most two bits, which leaves at most
+    three candidates for y: for target > 0 the bit 2^y must meet the run of
+    ones that holds all but at most one bit of target (its start, or the one
+    after), and for target = -t < 0, 2^y - t is the complement of t - 1 in y
+    bits, so bits(t) <= y <= popcount(t - 1) + 2; target = 0 is x = z = y - 1."""
+    (x0, x1), (y0, y1), (z0, z1) = x_range, y_range, z_range
+    total = 0
+    if target > 0 and not target & (target - 1):
+        k = target.bit_length() - 1
+        if z0 <= k <= z1:
+            total += _span(max(x0, y0), min(x1, y1))
+        if x0 <= k <= x1:
+            lo, hi = max(y0, z0), min(y1, z1)
+            total += _span(lo, hi) - (lo <= k <= hi)
+    if not target:
+        return total + _span(max(y0, x0 + 1, z0 + 1), min(y1, x1 + 1, z1 + 1))
+    if target > 0:
+        low = target & -target
+        rest = target ^ low
+        y = low.bit_length() - 1
+        candidates = {y, y + 1, (rest & -rest).bit_length() - 1} if rest else {y, y + 1}
+    else:
+        t = -target
+        candidates = range(t.bit_length(), (t - 1).bit_count() + 3)
+    for y in candidates:
+        if not y0 <= y <= y1:
+            continue
+        v = target + (1 << y)
+        if v <= 0 or v.bit_count() > 2:
+            continue
+        top = v.bit_length() - 1
+        if v.bit_count() == 1:
+            total += top - 1 != y and x0 <= top - 1 <= x1 and z0 <= top - 1 <= z1
+        else:
+            bottom = (v & -v).bit_length() - 1
+            if y != top and y != bottom:
+                total += ((x0 <= top <= x1 and z0 <= bottom <= z1)
+                          + (x0 <= bottom <= x1 and z0 <= top <= z1))
+    return total
+
+
+def _count4(i_range, l_range, a_range, c_range, delta: int) -> int:
+    """#{(i, l, a, c) in the ranges : 2^i - 2^l - 2^a + 2^c = delta}.
+
+    One exponent runs over the shortest range and ``_count3`` solves the
+    other three.  With w >= 3 digits in the NAF of delta, that exponent lies
+    within 1 of a digit: elsewhere adding or taking away its power gives a
+    NAF of weight w + 1 > 3.  delta = 0 is closed-form: i = l with a = c, or
+    (i, l) = (a, c)."""
+    digits = _naf_digits(delta)
+    if len(digits) > 4:
+        return 0
+    if not delta:
+        def meet(*ranges):
+            return _span(max(r[0] for r in ranges), min(r[1] for r in ranges))
+        return (meet(i_range, l_range) * meet(a_range, c_range)
+                + meet(i_range, a_range) * meet(l_range, c_range)
+                - meet(i_range, l_range, a_range, c_range))
+    # 2^i - 2^l + 2^c = delta + 2^a, or 2^l - 2^c + 2^a = 2^i - delta, ...
+    loops = [(a_range, (i_range, l_range, c_range), 1), (l_range, (i_range, a_range, c_range), 1),
+             (i_range, (l_range, c_range, a_range), -1), (c_range, (l_range, i_range, a_range), -1)]
+    (lo, hi), rest, sign = min(loops, key=lambda loop: loop[0][1] - loop[0][0])
+    if len(digits) >= 3:
+        values = {e + k for e in digits for k in (-1, 0, 1) if lo <= e + k <= hi}
+    else:
+        values = range(lo, hi + 1)
+    return sum(_count3(*rest, sign * delta + (1 << v)) for v in values)
+
+
+def _positive_window(x_range, y_range, a: int, b: int) -> tuple[int, int]:
+    """The count and sum of 2^x - 2^y over x > y with 1 <= a <= 2^x - 2^y
+    <= b: such a value lies in [2^(x-1), 2^x), so bits(a) <= x <= bits(b),
+    and 2^x - b <= 2^y <= 2^x - a."""
+    count = total = 0
+    for x in range(max(x_range[0], a.bit_length()), min(x_range[1], b.bit_length()) + 1):
+        top = 1 << x
+        lo = max(y_range[0], (top - b - 1).bit_length()) if top > b else y_range[0]
+        hi = min(y_range[1], x - 1, (top - a).bit_length() - 1)
+        if lo <= hi:
+            count += hi - lo + 1
+            total += (hi - lo + 1) * top - ((1 << (hi + 1)) - (1 << lo))
+    return count, total
+
+
+def _pair_window(x_range, y_range, lo: int, hi: int, positive: bool) -> tuple[int, int]:
+    """The count and sum of v = 2^x - 2^y over the ranges with lo <= v <= hi
+    (v > 0 only when ``positive``)."""
+    count = total = 0
+    if lo <= 0 <= hi and not positive:
+        count += _span(max(x_range[0], y_range[0]), min(x_range[1], y_range[1]))
+    if hi >= max(lo, 1):
+        c, t = _positive_window(x_range, y_range, max(lo, 1), hi)
+        count, total = count + c, total + t
+    if not positive and -lo >= max(-hi, 1):
+        c, t = _positive_window(y_range, x_range, max(-hi, 1), -lo)
+        count, total = count + c, total - t
+    return count, total
+
+
+def _box_hits(i_range, l_range, m_range, sign: int, lo: int, hi: int, positive: bool) -> int:
+    """#{(i, l, m) in the ranges : lo <= 2^i - 2^l + sign 2^m <= hi}, with
+    i > l only when ``positive``.
+
+    With 2^s > hi - lo and h = lo >> s, the terms at or above 2^s sum to
+    2^s H with H in h - 1 .. h + 3 of NAF weight at most 3; so a solution
+    needs NAF(h) of weight at most 5.  An m >= s that is not within 1 of a
+    digit of such an H leaves H - sign 2^(m-s) of weight 3 > 2 unless
+    NAF(H) has weight at most 1, and then the solution is one of the free
+    lines where m cancels a term (m = l with 2^i in the window, or m = i
+    with -2^l in it) or three terms sum to 0 (i = m = l - 1, or
+    l = m = i - 1).  So m runs over [0, s) when some H has weight at most
+    2, and over the digit neighbours; the free lines off those m are
+    counted in closed form."""
+    s = (hi - lo).bit_length()
+    h = lo >> s
+    if _naf_weight(h) > 5:
+        return 0
+    m0, m1 = m_range
+    candidates: set[int] = set()
+    low = False
+    for top in range(h - 1, h + 4):
+        digits = _naf_digits(top)
+        if len(digits) <= 3:
+            low = low or len(digits) <= 2
+            candidates.update(s + e + k for e in digits for k in (-1, 0, 1)
+                              if m0 <= s + e + k <= m1)
+    if low:
+        candidates.update(range(m0, min(m1, s - 1) + 1))
+    total = sum(_pair_window(i_range, l_range, lo - (sign << m), hi - (sign << m), positive)[0]
+                for m in candidates)
+
+    def free(first: int, last: int) -> int:
+        first, last = max(first, m0), min(last, m1)
+        return _span(first, last) - sum(first <= m <= last for m in candidates)
+
+    (i0, i1), (l0, l1) = i_range, l_range
+    if sign > 0:
+        if hi > 0:  # m = l, 2^i in [lo, hi]
+            for i in range(max(i0, (max(lo, 1) - 1).bit_length()), min(i1, hi.bit_length() - 1) + 1):
+                total += free(l0, min(l1, i - 1) if positive else l1)
+        if lo <= 0 <= hi and not positive:  # i = m = l - 1
+            total += free(max(i0, l0 - 1), min(i1, l1 - 1))
+    else:
+        if lo < 0:  # m = i, -2^l in [lo, hi]
+            for l in range(max(l0, (max(-hi, 1) - 1).bit_length()), min(l1, (-lo).bit_length() - 1) + 1):
+                total += free(max(i0, l + 1) if positive else i0, i1)
+        if lo <= 0 <= hi:  # l = m = i - 1
+            total += free(max(l0, i0 - 1), min(l1, i1 - 1))
+    return total
 
 
 def additive_energy_bruteforce(a: Iterable[int]) -> int:
@@ -803,7 +1089,7 @@ class ScalingResult:
     beta: float
     gamma: float
     # what the energy pass split off: runs, points, point pairs, trapezoid
-    # pieces and confirmed cross hits (see ``_energies``)
+    # pieces, cross hits and the geometric families (see ``_Plan.counts``)
     split: Mapping[str, int] = field(default_factory=dict)
 
     def eligible(self) -> list[EnergyRow]:
@@ -826,16 +1112,15 @@ def energy_scaling(
     predicted growth: E * f(N)^(3*(beta-gamma)) / N^3 at N = T_level.
 
     All checkpoints come from one ``_energies`` pass over the pairs of the
-    longest prefix; the budget still counts sum n^2 over the requested
-    prefixes and refuses before any pair is formed.  Checkpoints whose
+    longest prefix, which charges its work against the budget and refuses
+    before any pair is formed.  Checkpoints whose
     consecutive run is empty are flagged in their row (and excluded from the
     spread) rather than silently mixed in.
     """
     params = seq.params
     levels = sorted(set(levels))
     ns = [seq.checkpoint(j) for j in levels]
-    check_pair_budget(ns, max_pairs)
-    energies, split = _energies(seq.elements, ns)
+    energies, split = _energies(seq.elements, ns, max_pairs)
     exponent = 3.0 * (params.beta - params.gamma)
     rows = []
     for j, n, energy in zip(levels, ns, energies):

@@ -6,8 +6,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 import ppclab.cli
 from ppclab.cli import EXPERIMENTS, main
-from ppclab.energy import energy_scaling
+from ppclab.energy import ap_energy_closed_form, energy_scaling
 from ppclab.growth import GrowthFunction
 from ppclab.sequences import build_blocks, read_sequence
 
@@ -177,7 +179,9 @@ def test_corollary_table_level_one_row(tmp_path):
     assert float(dim) == 1.0  # the eps variant keeps full predicted dimension
     notes = json.loads((tmp_path / "cor.csv.manifest.json").read_text())["notes"]
     assert notes["energy_split"] == {"runs": 0, "points": 2, "point_pairs": 1,
-                                     "pieces": 0, "cross_hits": 0}
+                                     "pieces": 0, "cross_hits": 0, "families": 0,
+                                     "family_members": 0, "sets": 0, "set_pairs": 0,
+                                     "set_pairs_kept": 0}
 
 
 def test_bc_ratio_pipeline(tmp_path, capsys):
@@ -229,6 +233,8 @@ def test_precondition_errors_exit_3(tmp_path, capsys):
     assert run_cli("pc", "--seq", path4, "--alpha", "fixed:16384:16:8",
                    "--s", 1) == 3
     assert "rational mode" in capsys.readouterr().err
+    assert run_cli("energy", "--seq", path, "--n", 0) == 3
+    assert "need a nonempty set of integers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error, code", [(MemoryError, 4), (RecursionError, 3)])
@@ -251,8 +257,9 @@ def test_budget_refusals_exit_4(tmp_path, capsys):
     assert run_cli("build-seq", "--f", "ilog(1)", "--beta", "2/3",
                    "--gamma", "1/3", "--jmax", 25,
                    "--out", tmp_path / "x.txt") == 4
-    # n^2 = 25M pair operations, over the default budget of 2^24
-    assert run_cli("energy", "--family", "identity", "--seq-n", 5000) == 4
+    # a run-free set of 6000: 6000 * 5999 / 2 pairs for the key pass and 16
+    # per element, over the default budget of 2^24
+    assert run_cli("energy", "--family", "primes", "--seq-n", 6000) == 4
     path = tmp_path / "trivial3.txt"
     path.write_text("1\n2\n3\n")
     assert run_cli("energy", "--seq", path, "--max-pairs", 8) == 4
@@ -262,6 +269,10 @@ def test_budget_refusals_exit_4(tmp_path, capsys):
     assert err.count("budget refusal") == 5
     assert run_cli("energy", "--seq", path, "--max-pairs", 9) == 0
     assert "E = 19" in capsys.readouterr().out
+    # one run costs its elements and one piece: 5000 elements are far within
+    # the budget, though 5000^2 is not
+    assert run_cli("energy", "--family", "identity", "--seq-n", 5000) == 0
+    assert f"E = {ap_energy_closed_form(5000)}" in capsys.readouterr().out
 
 
 
@@ -275,13 +286,39 @@ def test_budget_refusals_come_before_the_sequence_is_loaded(tmp_path, monkeypatc
                    "--max-points", 100, "--csv", tmp_path / "x.csv") == 4
     assert run_cli("mc", "--family", "power", "--seq-n", 10**7, "--trials", 10,
                    "--schedule", 10**7, "--seed", 1, "--csv", tmp_path / "x.csv") == 4
-    # 5000^2 pair operations, over the default budget of 2^24: from energy.n ...
-    assert run_cli("energy", "--seq", path, "--n", 5000) == 4
+    # 2 * 10^6 elements at 16 operations each, over the default budget of
+    # 2^24 whatever their pairs cost: from energy.n ...
+    assert run_cli("energy", "--seq", path, "--n", 2 * 10**6) == 4
     # ... or from a classic family's seq.n
-    assert run_cli("energy", "--family", "power", "--seq-n", 5000) == 4
-    assert run_cli("energy", "--family", "identity", "--seq-n", 10, "--n", 5000) == 4
+    assert run_cli("energy", "--family", "power", "--seq-n", 2 * 10**6) == 4
+    assert run_cli("energy", "--family", "identity", "--seq-n", 10, "--n", 2 * 10**6) == 4
     assert capsys.readouterr().err.count("budget refusal") == 5
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_budget_refusals_return_within_a_second(tmp_path, capsys):
+    # a refusal on the elements alone, 16 operations each, before the set is
+    # built; then refusals on the work charged from the reduced set, where
+    # the elements alone are within the budget: run-free primes (their key
+    # pass), 10^6 of them near the most that charge admits, and T_14 of the
+    # blocks (16 * 15783 = 252528 for the elements, about 7.2 * 10^5 in all)
+    seq_file = tmp_path / "blocks14.txt"
+    run_cli("build-seq", "--f", "ilog(1)", "--beta", "2/3", "--gamma", "1/3",
+            "--jmax", 14, "--out", seq_file)
+    cases = [(["energy", "--family", "identity", "--seq-n", 10**9], None),
+             (["energy", "--family", "primes", "--seq-n", 10**6], 16 * 10**6),
+             (["energy", "--family", "primes", "--seq-n", 6000], 16 * 6000),
+             (["scaling", "--seq", seq_file, "--max-pairs", 5 * 10**5,
+               "--csv", tmp_path / "x.csv"], 16 * 15783),
+             (["energy", "--seq", seq_file, "--max-pairs", 5 * 10**5], 16 * 15783)]
+    for argv, elements in cases:
+        start = time.perf_counter()
+        assert run_cli(*argv) == 4
+        assert time.perf_counter() - start < 1.0
+        asked = int(re.search(r"about (\d+) pair operations", capsys.readouterr().err)[1])
+        assert asked == 16 * 10**9 if elements is None else asked > elements
+    assert not (tmp_path / "x.csv").exists()
+
 
 def test_edited_sequence_file_is_rejected(tmp_path, capsys):
     seq_file = tmp_path / "seq.txt"

@@ -147,6 +147,24 @@ def test_shared_primary_residue_is_confirmed():
     assert additive_energy([0, 1, m, m + 2]) == 28
 
 
+@pytest.mark.parametrize("xs", [
+    [0, 3, 6, 7],  # int64, with a run at the top
+    [-(1 << 62), 1 << 62],  # int64, span just inside
+    [-(1 << 63), 0, (1 << 63) - 1],  # every element an int64, the span not
+    [-(1 << 63), -5, -4, 1 << 63],  # an element past int64
+])
+def test_reduction_reads_int64_spans_and_python_ints_alike(xs):
+    step = math.gcd(*(v - u for u, v in zip(xs, xs[1:])))
+    ys, joined = energy._reduced(xs)
+    assert ys == [(x - xs[0]) // step for x in xs]
+    assert joined.tolist() == [v - u == 1 for u, v in zip(ys, ys[1:])]
+    assert additive_energy(xs) == energy_from_reps(rep_counts(xs))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        energy._reduced(xs[::-1])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        energy._reduced(xs + xs[-1:])
+
+
 def test_segments_stop_short_of_half_m0():
     # with H = floor(M0 / 2), the differences H + 1 and -H agree modulo M0
     # (they differ by exactly M0), so the pairs (0, H + 1) and (B, B + H)
@@ -246,14 +264,15 @@ def test_pair_cap_splits_key_ranges(monkeypatch):
 
 
 def test_dense_set_gives_up_the_run_split():
-    # short runs whose pieces overlap everywhere: the split goes over its
-    # budget of Python-int steps within the point pass and the pass starts
-    # again as the key pass alone
+    # short runs whose pieces overlap everywhere, and hundreds of points
+    # between them: their families cannot pay, so the pass is the key pass
+    # alone
     a = sorted(random.Random(5).sample(range(1300), 1000))
     (e,), split = energy._energies(a, [1000])
     assert e == energy_from_reps(rep_counts(a))
     assert split == {"runs": 0, "points": 1000, "point_pairs": 499500, "pieces": 0,
-                     "cross_hits": 0}
+                     "cross_hits": 0, "families": 0, "family_members": 0, "sets": 0,
+                     "set_pairs": 0, "set_pairs_kept": 0}
 
 
 def test_bruteforce_cap():

@@ -5,17 +5,16 @@ of prefixes from one pass: it keys each pair by a residue of its difference
 modulo a prime M0 below 2^62, tags it with the prefix cell of its larger
 index, certifies runs of equal keys by the segments their elements lie in,
 and compares the rest by their exact differences once the span reaches
-M0 / 2.  Runs of consecutive reduced elements are split off as trapezoids
-and only the other elements go through the key pass.  The sets below cover
-one segment (small spans, negative elements), elements above 2^62 and
-above 2^700, arithmetic progressions, block-like sets with long runs, runs
-with points beside and between them, sets built to share primary
-residues, and sets spanning several segments with elements next to a
-segment's end.  Each is checked against the
-representation counts, against brute force up to 64 elements, against the
-bounds n^2 <= E <= n^3 and under x -> a*x + b; prefix grids are checked
-prefix by prefix, with unsorted and repeated lengths, and with small pair
-caps.
+M0 / 2.  Where it pays, runs of consecutive reduced elements are split off
+as trapezoids and the other elements counted as geometric families.  The
+sets below cover one segment (small spans, negative elements), elements
+above 2^62 and above 2^700, arithmetic progressions, block-like sets with
+long runs, runs with points beside and between them, sets built to share
+primary residues, and sets spanning several segments with elements next
+to a segment's end.  Each is checked against the representation counts,
+against brute force up to 64 elements, against the bounds
+n^2 <= E <= n^3 and under x -> a*x + b; prefix grids are checked prefix
+by prefix, with unsorted and repeated lengths, and with small pair caps.
 """
 
 import functools
@@ -226,7 +225,9 @@ def test_energy_scaling_matches_per_prefix_oracles(params, cap, data):
 def test_single_run_is_its_closed_form(k):
     (e,), split = energy._energies(list(range(-7, k - 7)), [k])
     assert e == additive_energy(range(k)) == ap_energy_closed_form(k)
-    assert split == {"runs": 1, "points": 0, "point_pairs": 0, "pieces": 1, "cross_hits": 0}
+    assert split == {"runs": 1, "points": 0, "point_pairs": 0, "pieces": 1, "cross_hits": 0,
+                     "families": 0, "family_members": 0, "sets": 0, "set_pairs": 0,
+                     "set_pairs_kept": 0}
 
 
 @pytest.mark.parametrize("params", [(2 / 3, 1 / 3), (0.7, 0.45)])
@@ -236,10 +237,14 @@ def test_split_equals_key_pass_on_blocks(params, monkeypatch):
     split, counts = energy._energies(seq.elements, ns)
     assert counts["runs"] >= 10 and counts["cross_hits"] > 0
     assert counts["points"] < len(seq.elements) // 2
-    # every element through the key pass, as before runs were split off
-    monkeypatch.setattr(energy._RunPart, "split", classmethod(lambda cls, *args: None))
+    # the points as geometric families, with one stray point beside them
+    assert counts["families"] >= 8 and counts["point_pairs"] == 0
+    assert counts["points"] - counts["family_members"] == 1
+    assert counts["set_pairs_kept"] < counts["set_pairs"] // 5
+    # every element through the key pass, as where the split does not pay
+    monkeypatch.setattr(energy, "_INT_STEP", 1 << 40)
     plain, counts = energy._energies(seq.elements, ns)
-    assert counts["runs"] == 0 and split == plain
+    assert counts["runs"] == counts["families"] == 0 and plain == split
 
 
 def test_energy_pin_at_t13():
@@ -248,3 +253,113 @@ def test_energy_pin_at_t13():
     seq = build_blocks(GrowthFunction("ilog", r=1), 2 / 3, 1 / 3, 13)
     (row,) = energy_scaling(seq, [13]).rows
     assert (row.n, row.energy) == (8102, 15910340538)
+
+
+# -- geometric families -----------------------------------------------------------
+
+
+def exponents(lo_max=12, width=9):
+    """A range (lo, hi) of small exponents, empty when hi = lo - 1."""
+    return st.tuples(st.integers(0, lo_max), st.integers(-1, width)).map(
+        lambda t: (t[0], t[0] + t[1]))
+
+
+def spread(r):
+    return range(r[0], r[1] + 1)
+
+
+def targets(values):
+    """A value that solves the equation, or 0, +-2^k, or anything small."""
+    special = st.sampled_from([0]) | st.integers(0, 24).flatmap(
+        lambda k: st.sampled_from([1 << k, -(1 << k)]))
+    found = st.sampled_from(sorted(set(values))) if values else special
+    return found | special | st.integers(-5000, 5000)
+
+
+@given(data=st.data())
+def test_count4_matches_brute_force(data):
+    i, l, a, c = (data.draw(exponents()) for _ in range(4))
+    values = [(1 << x) - (1 << y) - (1 << z) + (1 << w)
+              for x in spread(i) for y in spread(l) for z in spread(a) for w in spread(c)]
+    delta = data.draw(targets(values))
+    assert energy._count4(i, l, a, c, delta) == values.count(delta)
+
+
+@given(data=st.data())
+def test_count3_matches_brute_force(data):
+    x, y, z = (data.draw(exponents()) for _ in range(3))
+    values = [(1 << u) - (1 << v) + (1 << w) for u in spread(x) for v in spread(y) for w in spread(z)]
+    target = data.draw(targets(values))
+    assert energy._count3(x, y, z, target) == values.count(target)
+
+
+@given(data=st.data())
+def test_window_counts_match_brute_force(data):
+    i, l, m = (data.draw(exponents(lo_max=30, width=14)) for _ in range(3))
+    positive = data.draw(st.booleans())
+    sign = data.draw(st.sampled_from([1, -1]))
+    pairs = [(1 << x) - (1 << y) for x in spread(i) for y in spread(l) if x > y or not positive]
+    triples = [v + sign * (1 << z) for v in pairs for z in spread(m)]
+    # windows of 1 to 5000 values, at a solution, at a power of two or anywhere
+    lo = data.draw(targets(triples) | st.integers(0, 40).map(lambda k: 1 << k)) - data.draw(
+        st.integers(0, 64))
+    hi = lo + data.draw(st.integers(0, 5000))
+    assert energy._box_hits(i, l, m, sign, lo, hi, positive) == sum(
+        lo <= v <= hi for v in triples)
+    inside = [v for v in pairs if lo <= v <= hi]
+    assert energy._pair_window(i, l, lo, hi, positive) == (len(inside), sum(inside))
+
+
+@st.composite
+def ordered_families(draw):
+    """Families b + 2^i, i in [lo, hi], each above the last: every base is
+    the last one's plus 2^(its hi) plus a small or power-of-two offset, so
+    differences of different pairs of families coincide often."""
+    families, base = [], draw(st.integers(-50, 50))
+    for _ in range(draw(st.integers(1, 4))):
+        lo, hi = draw(exponents(lo_max=6, width=8).filter(lambda r: r[1] >= r[0]))
+        families.append((base, lo, hi))
+        base += (1 << hi) + draw(st.integers(0, 40) | st.integers(0, 12).map(lambda k: 1 << k))
+    return families
+
+
+@given(families=ordered_families())
+def test_family_square_sum_is_the_sum_over_positive_differences(families):
+    # the own terms, the i > l rule inside a family and the pairwise counts
+    points = sorted({b + (1 << i) for b, lo, hi in families for i in range(lo, hi + 1)})
+    assert len(points) == sum(hi - lo + 1 for _, lo, hi in families)
+    reps = rep_counts(points).counts
+    want = sum(r * r for d, r in reps.items() if d > 0)
+    part = energy._Families([(b, lo, hi, 0, k) for k, (b, lo, hi) in enumerate(families)])
+    assert part.square_sums(1, []).tolist() == [want]
+
+
+@st.composite
+def planted_chains(draw):
+    """Doubling chains b + 2^i at several bases, some far apart and some
+    close, with shared exponent ranges, one run and a few stray points."""
+    out = set()
+    for _ in range(draw(st.integers(1, 4))):
+        base = draw(st.integers(-(1 << 80), 1 << 80) | st.integers(-300, 300))
+        lo = draw(st.integers(0, 40))
+        out.update(base + (1 << i) for i in range(lo, lo + draw(st.integers(1, 16))))
+    start = draw(st.integers(-(1 << 80), 1 << 80) | st.integers(-300, 300))
+    out.update(range(start, start + draw(st.integers(0, 12))))
+    out.update(draw(st.lists(st.integers(-(1 << 90), 1 << 90), max_size=3)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("kind", ["planted chains", "block-like", "runs and points"])
+@given(data=st.data())
+def test_families_match_per_prefix_oracles(kind, data):
+    # with the family work charged as free, every set with two points or
+    # more counts them as families; grids cut chains and runs at any length
+    a = data.draw(planted_chains() if kind == "planted chains" else SETS[kind])
+    ns = data.draw(grids(len(a)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "_INT_STEP", 0)
+        got, split = energy._energies(a, ns)
+    assert got == [oracle(a[:n]) for n in ns]
+    if split["runs"] and split["points"] > 1:
+        assert split["sets"] > 0 and split["point_pairs"] == 0
+
