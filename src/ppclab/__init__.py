@@ -12,9 +12,12 @@ The pieces, bottom up:
   of two) construction with exact checkpoints, classic comparison families,
   and the sequence file format.
 - :mod:`ppclab.energy` — exact additive energy of a whole grid of prefixes
-  from one bounded numpy sort of residue keys, equal keys certified by the
-  elements' positions or by their exact differences, with brute-force and
-  FFT oracles; representation counts; checkpoint scaling.
+  in one pass: where that pays, as on the paper's blocks, runs of
+  consecutive elements are counted as trapezoids and the geometric families
+  b + 2^i in closed form; otherwise every pair goes through one bounded
+  numpy sort of residue keys, equal keys certified by the elements'
+  positions or by their exact differences.  Brute-force and FFT oracles;
+  representation counts; checkpoint scaling.
 - :mod:`ppclab.paircorr` — the exact pair correlation statistic (rational
   and certified fixed-point dilations), regular systems of rational
   candidates, perturbation targeting, divergence probes, Monte Carlo.

@@ -9,28 +9,25 @@ here chase dilations where it diverges instead.
 Exactness discipline: a rational alpha = p/q turns every fractional part into
 an integer residue (p * a mod q) / q, so the closed-threshold comparison
 "circle distance <= s/N" is a pure integer comparison and the statistic is an
-exact fraction.  A fixed-point mode exists for speed with certified error
-bounds; comparisons that fall inside its guard window raise instead of
-guessing.
+exact fraction.  A fixed-point mode stands for a real alpha known to a given
+number of bits, with certified error bounds; comparisons that fall inside
+its guard window raise instead of guessing.
 
 Three routes compute the same number and are kept independent: a sweep over
 the sorted residues (production), the literal quadratic loop (oracle), and a
 sum over representation counts of the difference set (connects the statistic
-to additive energy).  The production sweep picks its arithmetic from the
-residue modulus q alone: for q <= 2**64 (the dyadic Monte Carlo dilations
-k/2**64, fixed point with at most 64 bits, and the rationals of the regular
-system) the residues are a numpy uint64 array, sorted by ``np.sort`` and
-counted by successor gaps: each residue's first few circular successors
-are tested over contiguous slices, and ``np.searchsorted`` finds the rest
-only for residues whose window is not exhausted yet; for larger q they are
-a sorted list of Python ints, counted by rank with ``bisect``.
+to additive energy).  The production route is one counter over sorted
+uint64 words, ``_count_within_u64``: the residues themselves for q <= 2**64,
+their top 64 bits above (every fixed point wider than 64 bits, every
+rational with a large denominator), where only the pairs within one unit of
+the scaled window edge are settled from their exact residues.
 
 One evaluator serves every caller: it takes a grid of prefix lengths N and
 window parameters s for one (sequence, alpha), checks the whole grid before
 any work, computes the residues of the longest prefix once, sorts each
 prefix once and counts every s (every limit of every cell) from that sorted
-array.  The residues come from one step, ``_residues``, in the layout the
-count takes; the count does not look behind it.  ``pair_correlation`` is
+array.  The residues come from one step, ``_residues``, as the words the
+count takes; the count does not look behind them.  ``pair_correlation`` is
 one cell of the evaluator, ``divergence_probe`` one call over its levels,
 and ``monte_carlo_ppc`` one call per trial on the uint64 words (x mod
 2**64) it made of the elements once, which are all a residue under its
@@ -42,11 +39,10 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -170,7 +166,8 @@ def _dilation(alpha: Alpha, elements: Sequence[int]) -> tuple[int, int]:
     return alpha.mantissa, 1 << alpha.bits
 
 
-# residue moduli up to this size take the uint64 sweep
+# residue moduli up to this size are counted as they are, larger ones by
+# their top 64 bits
 _U64_MODULUS = 1 << 64
 # anchors per block of the uint64 sweep, so its scratch stays flat
 _SEARCH_CHUNK = 1 << 16
@@ -194,65 +191,41 @@ def _words(elements: Sequence[int]) -> np.ndarray:
                            count=len(elements))
 
 
-def _residues(alpha: Alpha, elements: Sequence[int]) -> tuple[np.ndarray | list[int], int]:
-    """The residues p * x mod q of alpha = p/q, one per element, and q.
+def _residues(alpha: Alpha, elements: Sequence[int]
+              ) -> tuple[np.ndarray, int, Callable[[int], int] | None]:
+    """The residues r = p * x mod q of alpha = p/q as uint64 words, q, and
+    (for q > 2**64) the exact r of the element at an index.
 
-    They come in the layout the count takes: a uint64 array when q <= 2**64,
-    a list of Python ints above.  A power-of-two q takes them by mask, which
-    is x mod q also for negative x; any other q by (p * (x % q)) % q.  A
-    uint64 array of :func:`_words` may stand in for the elements only under
-    a rational alpha with power-of-two q <= 2**64, where x mod 2**64 is all
-    a residue reads (the fixed-point width check reads the elements)."""
+    For q <= 2**64 the words are the residues: by mask for a power-of-two q
+    (x mod q also for negative x), else (p * (x % q)) % q.  Above, they are
+    the top words floor(r * 2**64 / q) = (x % q) * c >> k mod 2**64 with
+    c = ceil(p * 2**(64 + k) / q): exact at k = b - 64 for q = 2**b, and at
+    k = 2 bits(q) for any q, where the error term (x % q) * (c - p * 2**(64
+    + k) / q) / 2**k < q / 2**k stays below 1/q, the spacing of r * 2**64 /
+    q.  :func:`_words` may stand in for the elements only under a rational
+    alpha with power-of-two q <= 2**64."""
     p, q = _dilation(alpha, elements)
-    if q & (q - 1):
-        res = [(p * (x % q)) % q for x in elements]
-    elif q > _U64_MODULUS:
-        mask = q - 1
-        res = [(p * x) & mask for x in elements]
-    else:
+    if q <= _U64_MODULUS and not q & (q - 1):
         # q divides 2**64, so the product may wrap mod 2**64 before the mask
         res = _words(elements) * np.uint64(p)
         res &= np.uint64(q - 1)
-        return res, q
-    return (np.array(res, dtype=np.uint64) if q <= _U64_MODULUS else res), q
-
-
-def _count_within(sorted_res: list[int], q: int, limits: Sequence[int]) -> list[int]:
-    """Unordered pairs at circular distance <= limit, for each limit, by rank.
-
-    For sorted residues r_0 <= ... <= r_(n-1) in [0, q) and 0 <= limit < q/2,
-    let split = #{i : r_i < q - limit}.  An anchor i < split pairs with the
-    later r_j <= r_i + limit: bisect_right(r, r_i + limit) - (i + 1) of
-    them.  An anchor i >= split pairs with all n - 1 - i later residues and
-    with the wrapped r_j <= r_i - (q - limit), which lie before it.  A pair's
-    two forward distances add up to q > 2 * limit, so each pair is counted
-    once, from the anchor it lies at most limit ahead of.  Summed:
-
-        count = sum over i < split of bisect_right(r, r_i + limit)
-                - split * (split + 1) / 2 + (n - split) * (n - split - 1) / 2
-                + sum over i >= split of bisect_right(r, r_i - (q - limit)).
-
-    A negative limit counts none."""
-    n = len(sorted_res)
-    counts = []
-    for limit in limits:
-        if limit < 0:
-            counts.append(0)
-            continue
-        top = q - limit
-        split = bisect_left(sorted_res, top)
-        wrapped = n - split
-        count = sum(bisect_right(sorted_res, r + limit) for r in islice(sorted_res, split))
-        count += sum(bisect_right(sorted_res, r - top) for r in sorted_res[split:])
-        counts.append(count + (wrapped * (wrapped - 1) - split * (split + 1)) // 2)
-    return counts
+        return res, q, None
+    if q <= _U64_MODULUS:
+        words = ((p * (x % q)) % q for x in elements)
+    else:
+        k = q.bit_length() - 65 if not q & (q - 1) else 2 * q.bit_length()
+        scaled, mask = -(-(p << (64 + k)) // q), _U64_MODULUS - 1
+        words = ((x % q) * scaled >> k & mask for x in elements)
+    words = np.fromiter(words, dtype=np.uint64, count=len(elements))
+    return words, q, (lambda i: p * (elements[i] % q) % q) if q > _U64_MODULUS else None
 
 
 def _search_rest(sorted_res: np.ndarray, q: int, limit: int, anchors: np.ndarray) -> int:
     """The sum over the ascending ``anchors`` i of #{k >= 1 : fwd(i, k) <=
-    limit} (see :func:`_count_within_u64`), by the rank identity of
-    :func:`_count_within` restricted to these anchors.  Neither bound,
-    r_i + limit or r_i - (q - limit), leaves [0, q), so no uint64 sum wraps."""
+    limit} (see :func:`_count_within_u64`), by rank: an anchor with r_i <
+    q - limit pairs with the later r_j <= r_i + limit, one with r_i >= q -
+    limit with every later residue and with the wrapped r_j <= r_i - (q -
+    limit).  Neither bound leaves [0, q), so no uint64 sum wraps."""
     n = len(sorted_res)
     top = q - limit
     res = sorted_res[anchors]
@@ -289,18 +262,73 @@ def _count_block(sorted_res: np.ndarray, q: int, limit: int, lo: int, hi: int) -
     return count - rounds * live + _search_rest(sorted_res, q, limit, alive)
 
 
-def _count_within_u64(sorted_res: np.ndarray, q: int, limits: Sequence[int]) -> list[int]:
-    """:func:`_count_within` for sorted uint64 residues and q <= 2**64.
+def _at_most(xs: Counter, ys: Counter, bound: int) -> int:
+    """#{(x, y) : y - x <= bound} over two multisets of integers."""
+    values = sorted(ys)
+    below = np.cumsum([0] + [ys[y] for y in values])
+    at = np.searchsorted(np.array(values, dtype=object), [x + bound for x in xs], "right")
+    return int(np.dot(list(xs.values()), below[at]))
 
-    Let fwd(i, k) be the forward distance from r_i to its k-th circular
-    successor, k = 1..n-1.  It never decreases in k: r_(i+k) - r_i for the
-    direct successors, then q - (r_i - r_j) for the wrapped ones j = i+k-n,
-    which start at q - r_i + r_0 > r_(n-1) - r_i.  A pair's two forward
-    distances add up to q, so with limit < q/2 each pair within circular
-    distance limit is counted exactly once, as #{k : fwd(i, k) <= limit}
-    summed over the anchors i.  Both tests are exact in uint64: ahead =
-    r_(i+k) - r_i <= limit, and for a wrapped successor back = r_i - r_j
-    >= q - limit, so a full turn (r_i = r_j at q = 2**64) never wraps to 0.
+
+def _run(words: np.ndarray, word: int) -> range:
+    """The positions of ``word`` in the sorted ``words``."""
+    word = np.uint64(word)
+    return range(int(np.searchsorted(words, word)), int(np.searchsorted(words, word, "right")))
+
+
+def _edge_pairs(words: np.ndarray, q: int, limit: int, gaps: range,
+                exact: Callable[[int], int]) -> int:
+    """The pairs of sorted top words at a circular distance in ``gaps``
+    whose exact residues are within ``limit`` (see :func:`_count_within_u64`):
+    each run of equal words with a partner ``gap`` ahead, found in blocks of
+    ``_SEARCH_CHUNK``, is paired with the partner's run (itself at gap 0) and
+    settled from the exact residues, equal ones by their multiplicity."""
+    count = 0
+    for gap in gaps:
+        found = []
+        for lo in range(0, len(words), _SEARCH_CHUNK):
+            block = words[lo:lo + _SEARCH_CHUNK]
+            ahead = block + np.uint64(gap)  # wraps mod 2**64
+            at = np.searchsorted(words, ahead, "right") - 1  # the last word <= ahead
+            hit = words[at] == ahead
+            if not gap:  # a later member of the same run
+                hit &= at > np.arange(lo, lo + len(block))
+            elif gap == 1 << 63:  # ahead both ways: count from the lower word
+                hit &= block < ahead
+            found.append(block[hit])
+        for word in np.unique(np.concatenate(found)).tolist():
+            partner = (word + gap) % _U64_MODULUS
+            # y - x is the forward distance f in [0, q) once a partner run
+            # behind this one is taken a turn up, and a pair is in when f <=
+            # limit or f >= q - limit; a run paired with itself lies within
+            # q / 2**64 < q - limit, and its ordered count of y - x <= limit
+            # exceeds its pairs by m(m + 1)/2
+            run, partners = _run(words, word), _run(words, partner)
+            xs = Counter(exact(i) for i in run)
+            ys = Counter(exact(i) + (q if partner < word else 0) for i in partners)
+            count += (_at_most(xs, ys, limit) + len(run) * len(partners)
+                      - _at_most(xs, ys, q - limit - 1))
+            if not gap:
+                count -= len(run) * (len(run) + 1) // 2
+    return count
+
+
+def _count_within_u64(sorted_words: np.ndarray, q: int, limits: Sequence[int],
+                      exact: Callable[[int], int] | None = None) -> list[int]:
+    """Unordered pairs of residues mod q at circular distance <= limit, for
+    each limit < q/2 (a negative one counts none), from the sorted words of
+    :func:`_residues`.
+
+    For q <= 2**64 the words are the residues r.  Let fwd(i, k) be the
+    forward distance from r_i to its k-th circular successor, k = 1..n-1.
+    It never decreases in k: r_(i+k) - r_i for the direct successors, then
+    q - (r_i - r_j) for the wrapped ones j = i+k-n, which start at q - r_i +
+    r_0 > r_(n-1) - r_i.  A pair's two forward distances add up to q, so
+    with limit < q/2 each pair within circular distance limit is counted
+    exactly once, as #{k : fwd(i, k) <= limit} summed over the anchors i.
+    Both tests are exact in uint64: ahead = r_(i+k) - r_i <= limit, and for
+    a wrapped successor back = r_i - r_j >= q - limit, so a full turn (r_i =
+    r_j at q = 2**64) never wraps to 0.
 
     Each limit is its own pass over the anchors, in blocks of
     ``_SEARCH_CHUNK``.  The first ``_DENSE_ROUNDS`` successors of a block
@@ -309,10 +337,26 @@ def _count_within_u64(sorted_res: np.ndarray, q: int, limits: Sequence[int]) -> 
     (:func:`_search_rest`).  On uniform residues about 1 - e**(-s) of the
     anchors pass the first round at the window s/N, 63 % at s = 1, and
     under 2 % are still within after four rounds.
+
+    For q > 2**64 the words are the top words t = floor(r * 2**64 / q), and
+    ``exact(k)`` is the residue behind the k-th.  Scaled by 2**64 / q, r lies
+    in [t, t + 1), so a pair's top-word circular distance (mod 2**64) is
+    within one unit, strictly, of its scaled true distance.  With A =
+    floor(limit * 2**64 / q) and B = ceil(limit * 2**64 / q), a pair at
+    top-word distance <= A - 1 is within the limit, one at >= B + 1 is not,
+    and only those at A..B are undecided.  The sweep at q = 2**64 counts the
+    first kind (A - 1 < 2**63, as limit < q/2), and :func:`_edge_pairs`
+    settles the rest from their exact residues: every count is certified
+    or resolved, never guessed.
     """
-    n = len(sorted_res)
+    if q > _U64_MODULUS:
+        bands = [((x << 64) // q, -(-(x << 64) // q)) for x in limits]
+        inside = _count_within_u64(sorted_words, _U64_MODULUS, [a - 1 for a, _ in bands])
+        return [c + _edge_pairs(sorted_words, q, x, range(a, b + 1), exact) if x >= 0 else 0
+                for c, x, (a, b) in zip(inside, limits, bands)]
+    n = len(sorted_words)
     return [
-        sum(_count_block(sorted_res, q, limit, lo, min(lo + _SEARCH_CHUNK, n))
+        sum(_count_block(sorted_words, q, limit, lo, min(lo + _SEARCH_CHUNK, n))
             for lo in range(0, n, _SEARCH_CHUNK)) if limit >= 0 else 0
         for limit in limits
     ]
@@ -374,14 +418,13 @@ def _statistics(
 
     Every n and s is checked before any work, and the fixed-point width
     check runs once, over the longest prefix that needs counting (a cell
-    with 2s >= n covers the whole circle and needs none).  The residues of
-    that prefix are computed once by :func:`_residues`, whose layout picks
-    the sort and the count: a uint64 array is sorted by ``np.sort`` and
-    counted by :func:`_count_within_u64`, a list of Python ints by
-    ``sorted`` and :func:`_count_within`.  Each shorter prefix is sorted as
-    a copy, the longest in place, and every limit of every s is counted from
-    that sorted array; the cells then raise their ``PrecisionError`` in
-    (n, s) order.
+    with 2s >= n covers the whole circle and needs none).  The words of
+    that prefix come once from :func:`_residues`.  Residues are sorted by
+    ``np.sort``, as a copy for each shorter prefix and in place for the
+    longest; top words through ``np.argsort``, whose order leads back to
+    the elements.  :func:`_count_within_u64` counts every limit of every s
+    from that sorted array; the cells then raise their ``PrecisionError``
+    in (n, s) order.
     """
     ns, s_values = _grid(len(elements), ns, s_values)
     out = {(n, s): Fraction(n - 1) for n in ns for s in s_values if 2 * s >= n}
@@ -389,18 +432,21 @@ def _statistics(
     if not counted:
         return out
     top = counted[-1]
-    res, q = _residues(alpha, elements if top == len(elements) else elements[:top])
-    u64 = isinstance(res, np.ndarray)
-    count_within = _count_within_u64 if u64 else _count_within
+    words, q, exact = _residues(alpha, elements if top == len(elements) else elements[:top])
     for n in counted:
-        if n < top:
-            sorted_res = np.sort(res[:n]) if u64 else sorted(res[:n])
+        exact_at = None
+        if exact is not None:
+            order = np.argsort(words[:n])
+            sorted_words = words[order]
+            exact_at = lambda k, order=order: exact(order[k])  # noqa: E731
+        elif n < top:
+            sorted_words = np.sort(words[:n])
         else:
-            res.sort()
-            sorted_res = res
+            words.sort()
+            sorted_words = words
         cells = {s: _cell_limits(q, alpha, n, s) for s in s_values if 2 * s < n}
         limits = sorted({x for pair in cells.values() if pair for x in pair})
-        counts = dict(zip(limits, count_within(sorted_res, q, limits)))
+        counts = dict(zip(limits, _count_within_u64(sorted_words, q, limits, exact_at)))
         for s, pair in cells.items():
             out[n, s] = _count_cell(counts, pair, n)
     return out
@@ -410,16 +456,13 @@ def pair_correlation(seq: SequenceLike, alpha: Alpha, n: int, s: SLike) -> Fract
     """The pair correlation statistic at scale N = n, exactly.
 
     Counts ordered index pairs i != j with circle distance at most s/n
-    between the dilated points (closed threshold), scaled by 1/n.  Runs in
-    O(n log n) via sorting the residues p * a mod q of alpha = p/q: when
-    q <= 2**64 they are a uint64 array counted by successor gaps, with
-    ``np.searchsorted`` for the residues with more than a few neighbours in
-    the window, otherwise a sorted list of Python ints counted by rank with
-    ``bisect``.  In fixed-point mode a comparison landing inside the guard
-    window raises :class:`PrecisionError`.  A classic family stored as int64
-    is read as its uint64 words, without building its Python ints, under a
-    rational alpha whose q is a power of two <= 2**64: x mod 2**64 is all a
-    residue then reads.
+    between the dilated points (closed threshold), scaled by 1/n, in
+    O(n log n) by sorting the residues p * a mod q of alpha = p/q (see
+    :func:`_count_within_u64`).  In fixed-point mode a comparison landing
+    inside the guard window raises :class:`PrecisionError`.  A classic
+    family stored as int64 is read as its uint64 words, without building
+    its Python ints, under a rational alpha whose q is a power of two <=
+    2**64: x mod 2**64 is all a residue then reads.
     """
     s = Fraction(s)
     q = alpha.den

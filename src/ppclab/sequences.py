@@ -18,7 +18,10 @@ one-integer-per-line file format shared with the CLI.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -372,15 +375,38 @@ def max_element_bits(seq: SequenceLike) -> int:
 # rebuilt (and verified) from their files.
 
 
+@contextmanager
+def _all_digits():
+    """Lift the interpreter's cap on decimal conversions of ints (4300
+    digits by default, where the cap exists) and put it back after: an
+    element the bit budget admits may be far longer."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def write_sequence(path, seq: SequenceLike, meta: dict[str, str] | None = None) -> None:
+    """Write the elements one per line after the metadata comments; a
+    write that fails removes the file it started."""
     elems = as_elements(seq)
     if meta is None and isinstance(seq, BlockSequence):
         meta = block_meta(seq)
-    with open(path, "w", encoding="ascii") as fh:
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key} = {value}\n")
-        for x in elems:
-            fh.write(f"{x}\n")
+    with _all_digits(), open(path, "w", encoding="ascii") as fh:
+        try:
+            for key, value in (meta or {}).items():
+                fh.write(f"# {key} = {value}\n")
+            for x in elems:
+                fh.write(f"{x}\n")
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def block_meta(seq: BlockSequence) -> dict[str, str]:
@@ -398,7 +424,7 @@ def read_sequence(path) -> tuple[list[int], dict[str, str]]:
     """Read elements and top-comment metadata; enforces strict increase."""
     elements: list[int] = []
     meta: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
+    with _all_digits(), open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

@@ -317,7 +317,19 @@ def test_budget_refusals_return_within_a_second(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0
         asked = int(re.search(r"about (\d+) pair operations", capsys.readouterr().err)[1])
         assert asked == 16 * 10**9 if elements is None else asked > elements
-    assert not (tmp_path / "x.csv").exists()
+    # the mc, build-seq and bohr refusals of test_budget_refusals_exit_4
+    others = [(["mc", "--family", "power", "--seq-n", 500, "--trials", 10, "--schedule", 500,
+                "--seed", 1, "--max-points", 100, "--csv", tmp_path / "x.csv"],
+               "about 5000 sampled points"),
+              (["build-seq", "--f", "ilog(1)", "--beta", "2/3", "--gamma", "1/3",
+                "--jmax", 25, "--out", tmp_path / "x.txt"], "element bits exceed"),
+              (["bohr", "--d", 10**9, "--delta", "1/4"], "1000000001 Bohr intervals")]
+    for argv, refusal in others:
+        start = time.perf_counter()
+        assert run_cli(*argv) == 4
+        assert time.perf_counter() - start < 1.0
+        assert refusal in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.txt").exists()
 
 
 def test_edited_sequence_file_is_rejected(tmp_path, capsys):
@@ -390,15 +402,16 @@ def test_help_still_exits_zero(capsys, argv):
 
 # -- fuzzing the evaluator's commands ---------------------------------------------------
 #
-# pc, probe, mc, energy and scaling with flags drawn from small pools of valid
-# and malformed tokens: whatever the draw, main returns 0, 2, 3 or 4 and a
-# refusal is one line on stderr.  Each flag has a pool of valid tokens and one
-# of malformed ones (None leaves the flag out); a run takes valid tokens for
-# all flags but at most one, so most runs get past the parser.  The pools
-# keep every run small: classic families of at most 50 elements, blocks
-# through level 8, ranks up to 100, short level ranges.  Every draw is also
-# written as a config file and run through ``run``: the same exit code, and
-# on success the same stdout and CSV bytes.
+# pc, probe, mc, energy, scaling, bohr and build-seq (of classic families)
+# with flags drawn from small pools of valid and malformed tokens: whatever
+# the draw, main returns 0, 2, 3 or 4 and a refusal is one line on stderr.
+# Each flag has a pool of valid tokens and one of malformed ones (None leaves
+# the flag out); a run takes valid tokens for all flags but at most one, so
+# most runs get past the parser.  The pools keep every run small: classic
+# families of at most 50 elements, blocks through level 8, ranks up to 100,
+# short level ranges, Bohr frequencies up to 30.  Every draw is also written
+# as a config file and run through ``run``: the same exit code, and on
+# success the same stdout and output file bytes.
 
 CLASSIC_FLAGS = {
     "--family": (["identity", "power", "primes", "lacunary"], ["squares", None]),
@@ -445,15 +458,24 @@ COMMAND_FLAGS = {
         "--levels": ([None, "2..8", "8", "3,5"], ["8..7", "", "0..2", "7..9", "x"]),
         "--max-pairs": ([None, "30", "100000"], ["x", "1/2"]),
     },
+    "bohr": {
+        "--d": (["1", "2", "-7", "30"], ["0", "x", "1/2", None]),
+        "--delta": (["0", "1/8", "1/3", "1/2"], ["-1/4", "3/4", "x", "1/0", None]),
+    },
+    "build-seq": {},
 }
+# the sequence flags each command draws from: none for bohr, classic families
+# for build-seq, blocks for probe, either for the others
+SEQ_POOLS = {"bohr": {}, "build-seq": CLASSIC_FLAGS, "probe": BLOCK_FLAGS}
 
 
 @st.composite
 def evaluator_run(draw, command, out):
-    """The argv of one run of ``command`` and its config-file text, its CSV
-    (if any) under ``out``."""
-    pools = {**(BLOCK_FLAGS if command == "probe" or draw(st.booleans()) else CLASSIC_FLAGS),
-             **COMMAND_FLAGS[command]}
+    """The argv of one run of ``command`` and its config-file text, its
+    output file (if any) under ``out``."""
+    seq_pools = SEQ_POOLS[command] if command in SEQ_POOLS else (
+        BLOCK_FLAGS if draw(st.booleans()) else CLASSIC_FLAGS)
+    pools = {**seq_pools, **COMMAND_FLAGS[command]}
     bad = draw(st.sampled_from([None] * len(pools) + list(pools)))
     flags = {flag: draw(st.sampled_from(malformed if flag == bad else valid))
              for flag, (valid, malformed) in pools.items()}
@@ -465,8 +487,9 @@ def evaluator_run(draw, command, out):
         if source in ("system", "both"):
             system = (draw(st.sampled_from(SYSTEM[0] + SYSTEM[1])) or "").split()
     keys = {param.flag: param.key for param in EXPERIMENTS[command]}
-    if "--csv" in keys:
-        flags["--csv"] = str(out / f"{command}.csv")
+    for flag in ("--csv", "--out"):
+        if flag in keys:
+            flags[flag] = str(out / f"{command}.out")
     # --flag=value, so that a value such as -1/2 is not read as a flag
     argv = [command] + [f"{flag}={value}" for flag, value in flags.items() if value is not None]
     if system:  # a greedy flag: its tokens follow it one by one
@@ -489,19 +512,19 @@ def _run_main(argv):
 @given(data=st.data())
 def test_evaluator_commands_exit_with_a_code_and_one_line(tmp_path, command, data):
     argv, config = data.draw(evaluator_run(command, tmp_path))
-    csv = tmp_path / f"{command}.csv"
-    csv.unlink(missing_ok=True)
+    output = tmp_path / f"{command}.out"
+    output.unlink(missing_ok=True)
     code, out, err = _run_main(argv)
     assert code in (0, 2, 3, 4), argv
     if code:
         assert len(err.splitlines()) == 1, (argv, err)
-    written = csv.read_bytes() if code == 0 and csv.exists() else None
+    written = output.read_bytes() if code == 0 and output.exists() else None
     # the same run from a config file
-    csv.unlink(missing_ok=True)
+    output.unlink(missing_ok=True)
     path = tmp_path / f"{command}.cfg"
     path.write_text(config)
     twin_code, twin_out, _ = _run_main(["run", str(path)])
     assert twin_code == code, (argv, config)
     if code == 0:
         assert twin_out == out, (argv, config)
-        assert (csv.read_bytes() if csv.exists() else None) == written, (argv, config)
+        assert (output.read_bytes() if output.exists() else None) == written, (argv, config)

@@ -196,7 +196,7 @@ def test_uint64_sweep_at_the_top_of_the_range(q):
 
 @pytest.mark.parametrize("q_bits", [65, 128, 300])
 def test_wide_denominator_sweep_matches_naive(q_bits):
-    # q > 2**64 takes the Python-int rank count
+    # q > 2**64 is counted by its top words, the window edge from the exact residues
     rng = random.Random(q_bits)
     q = (1 << (q_bits - 1)) | rng.getrandbits(q_bits - 1) | 1
     alpha = Alpha.rational(rng.randrange(1, q), q)
@@ -244,10 +244,21 @@ def circular_pairs_within(res, q, limit):
     )
 
 
+def count_exact_residues(res, q, limits):
+    """The pair counts of the exact residues ``res`` mod q, taken through
+    the residue step (alpha = 1/q leaves them as they are) and the one
+    counter, sorted as the evaluator sorts them."""
+    words, _, exact = paircorr._residues(Alpha.rational(1, q), res)
+    order = np.argsort(words)
+    exact_at = exact and (lambda k: exact(order[k]))
+    return paircorr._count_within_u64(words[order], q, limits, exact_at)
+
+
 def test_wide_rank_count_at_the_wrap():
-    # q just above 2**64 keeps the residues on the Python-int rank count
+    # q just above 2**64: the residues are counted by their top words, and
+    # pairs at the window edge are settled from the exact residues
     q = (1 << 64) + 13
-    count = paircorr._count_within
+    count = count_exact_residues
     assert count([0, q - 1], q, [-1, 0, 1]) == [0, 0, 1]
     assert count([17] * 1000, q, [0]) == [499_500]
     assert count([q - 1] * 1000, q, [0, 1]) == [499_500, 499_500]
@@ -270,7 +281,7 @@ def test_wide_rank_count_at_the_wrap():
 
 
 def test_wide_fixed_point_matches_rational():
-    # bits > 64 keeps the fixed-point residues on the Python-int rank count
+    # bits > 64 counts the fixed-point residues by their top words
     rng = random.Random(128)
     bits, guard = 128, 64
     fixed = Alpha.fixed(rng.getrandbits(bits) | 1, bits, guard)

@@ -2,17 +2,21 @@
 residue step and the fixed-point width check keep their contracts, and the
 grid callers (Monte Carlo, divergence probe) agree with one-cell calls.
 
-Moduli cover both production sweeps (uint64 for q <= 2**64, Python ints
-above) and their edges: q = 1 and 2, powers of two up to 2**64 and above it
-(where the residues are taken by mask), the Mersenne prime 2**61 - 1,
-q = 2**64 - 59 (where r + limit wraps past 2**64) and q = 2**64.  Residues
-include 0, q - 1 and repeats; the window runs from limit = 0 to the largest
-limit below q/2.  The uint64 sweep also runs with its dense successor rounds
-patched to none (rank search only), one, and more than n (dense rounds
-only).
+Moduli cover both kinds of words the one counter sweeps (the residues for
+q <= 2**64, their top 64 bits above) and their edges: q = 1 and 2, powers
+of two up to 2**64 and above it (where the residues are taken by mask),
+the Mersenne prime 2**61 - 1, q = 2**64 - 59 (where r + limit wraps past
+2**64), q = 2**64 and q just above it.  Residues include 0, q - 1 and
+repeats; the window runs from limit = 0 to the largest limit below q/2.
+Above 2**64, residue sets are also built with pairs on the window edge and
+one unit to either side, distinct residues that share a top word, and
+limits within q / 2**64 of q/2.  The uint64 sweep also runs with its dense
+successor rounds patched to none (rank search only), one, and more than n
+(dense rounds only).
 """
 
 import math
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -47,6 +51,7 @@ MODULI = {
     "2^61-1": st.just((1 << 61) - 1),
     "2^64-59": st.just(U64 - 59),
     "2^64": st.just(U64),
+    "2^64+small": st.integers(U64 + 1, U64 + 1000),
     "random<=2^64": st.integers(3, U64),
     "random>2^64": st.integers(U64 + 1, 1 << 300),
 }
@@ -77,6 +82,22 @@ def assert_three_routes(elements, alpha, s):
     assert r == pair_correlation_via_reps(elements, alpha, n, s)
 
 
+def count_exact_residues(res, q, limits):
+    """The pair counts of the exact residues ``res`` mod q, taken through
+    the residue step (alpha = 1/q leaves them as they are) and the one
+    counter, sorted as the evaluator sorts them."""
+    words, _, exact = paircorr._residues(Alpha.rational(1, q), res)
+    order = np.argsort(words)
+    exact_at = exact and (lambda k: exact(order[k]))
+    return paircorr._count_within_u64(words[order], q, limits, exact_at)
+
+
+def literal_count(res, q, limit):
+    """Unordered pairs of ``res`` at circular distance <= limit mod q."""
+    return sum(1 for i, a in enumerate(res) for b in res[i + 1:]
+               if min((a - b) % q, (b - a) % q) <= limit)
+
+
 @pytest.mark.parametrize("kind", MODULI)
 @given(data=st.data())
 def test_three_routes_agree(kind, data):
@@ -102,11 +123,12 @@ def test_certified_fixed_point_equals_rational(data):
 
 # -- the residue step -----------------------------------------------------------------
 #
-# _residues is the one place the evaluator takes residues.  It must equal the
-# literal (p * (x % q)) % q for every kind of modulus and for fixed point,
-# with negative elements and elements past 2**64, and hand the count a uint64
-# array exactly when q <= 2**64.  Under a power-of-two q <= 2**64 the uint64
-# words of the elements, which monte_carlo_ppc passes in their place, give the
+# _residues is the one place the evaluator takes residues.  For every kind of
+# modulus and for fixed point, with negative elements and elements past
+# 2**64, its uint64 words must be the literal r = (p * (x % q)) % q when
+# q <= 2**64, and the top words floor(r * 2**64 / q) with a resolver that
+# gives back each r above.  Under a power-of-two q <= 2**64 the uint64 words
+# of the elements, which monte_carlo_ppc passes in their place, give the
 # same residues.
 
 FIXED = st.integers(2, 300).flatmap(lambda bits: st.builds(
@@ -134,18 +156,21 @@ def test_residue_step_contract(kind, data):
         alpha = Alpha.rational(data.draw(st.integers(0, q - 1)), q)
         p, q = alpha.num, alpha.den
         xs = data.draw(bounded_elements(1 << 400))
-    res, q_out = paircorr._residues(alpha, xs)
-    assert q_out == q
-    assert isinstance(res, np.ndarray) == (q <= U64)
+    words, q_out, exact = paircorr._residues(alpha, xs)
+    literal = [(p * (x % q)) % q for x in xs]
+    assert q_out == q and words.dtype == np.uint64
+    assert (exact is None) == (q <= U64)
     if q <= U64:
-        assert res.dtype == np.uint64
-    assert [int(r) for r in res] == [(p * (x % q)) % q for x in xs]
+        assert words.tolist() == literal
+    else:
+        assert [exact(i) for i in range(len(xs))] == literal
+        assert words.tolist() == [(r << 64) // q for r in literal]
     # the fixed-point width check reads the elements, so negative ones, whose
     # words are 64 bits wide, take the words path under rational alpha only
     if q <= U64 and not q & (q - 1) and (alpha.mode == "rational" or min(xs, default=0) >= 0):
-        words, q_words = paircorr._residues(alpha, paircorr._words(xs))
-        assert q_words == q and words.dtype == np.uint64
-        assert words.tolist() == res.tolist()
+        from_words, q_words, _ = paircorr._residues(alpha, paircorr._words(xs))
+        assert q_words == q and from_words.dtype == np.uint64
+        assert from_words.tolist() == literal
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last", "negated"])
@@ -374,20 +399,15 @@ def test_one_sweep_of_several_limits_equals_one_per_limit(rounds, data):
     half = (q - 1) // 2  # the largest limit below q/2
     limit = st.one_of(st.integers(-3, -1), st.just(0), st.just(half), st.integers(0, half))
     limits = data.draw(st.lists(limit, min_size=1, max_size=6))
-    if q <= U64:
-        words = np.array(res, dtype=np.uint64)
-        with sweep_settings(data, rounds):
+    with sweep_settings(data, rounds):
+        if q <= U64:
+            words = np.array(res, dtype=np.uint64)
             counts = paircorr._count_within_u64(words, q, limits)
             assert counts == [paircorr._count_within_u64(words, q, [x])[0] for x in limits]
-    else:
-        counts = paircorr._count_within(res, q, limits)
-    # the literal count over pairs
-    assert counts == [
-        sum(1 for i in range(len(res)) for j in range(i + 1, len(res))
-            if min(res[j] - res[i], q - res[j] + res[i]) <= x)
-        for x in limits
-    ]
-    assert counts == [paircorr._count_within(res, q, [x])[0] for x in limits]
+        else:  # top words, the window edge settled from the exact residues
+            counts = count_exact_residues(res, q, limits)
+        assert counts == [count_exact_residues(res, q, [x])[0] for x in limits]
+    assert counts == [literal_count(res, q, x) for x in limits]
 
 
 @pytest.mark.parametrize("rounds", [x for x in SWEEPS if x < 100])
@@ -400,3 +420,111 @@ def test_all_residues_equal(rounds):
             res = np.full(n, r, dtype=np.uint64)
             assert paircorr._count_within_u64(res, q, [-1, 0, q // 2 - 1]) == [
                 0, n * (n - 1) // 2, n * (n - 1) // 2]
+
+
+# -- top words above 2**64 ----------------------------------------------------------
+#
+# Above 2**64 the counter sweeps the top words floor(r * 2**64 / q) and settles
+# only the pairs at top-word distance floor(L * 2**64 / q)..ceil(L * 2**64 / q)
+# from their exact residues.  The residue sets put pairs exactly on the window
+# edge L and one unit to either side, residues that share a top word, 0 and
+# q - 1, and repeats; L runs from 0 through values below q / 2**64 (where the
+# band holds distance 0) to within q / 2**64 of q/2.
+
+WIDE_MODULI = {kind: MODULI[kind] for kind in ("2^64+small", "2^k>2^64", "random>2^64")}
+
+
+@st.composite
+def edge_residues(draw, q):
+    """(residues, limit): residues on, and one unit either side of, the
+    window edge of some bases, and residues sharing the bases' top words."""
+    half = (q - 1) // 2  # the largest limit below q/2
+    unit = q >> 64  # residues per top word, rounded down
+    limit = draw(st.one_of(st.just(0), st.integers(0, 2 * unit + 4),
+                           st.integers(max(0, half - unit - 2), half), st.integers(0, half)))
+    bases = draw(st.lists(st.one_of(st.just(0), st.just(q - 1), st.integers(0, q - 1)),
+                          min_size=1, max_size=5))
+    res = []
+    for base in bases:
+        res.append(base)
+        for sign in draw(st.lists(st.sampled_from([1, -1]), max_size=2)):
+            res.append((base + sign * (limit + draw(st.sampled_from([-1, 0, 1])))) % q)
+        top = (base << 64) // q  # the residues with this top word: [first, past)
+        first, past = -(-(top * q) >> 64), -(-((top + 1) * q) >> 64)
+        res += draw(st.lists(st.integers(first, past - 1), max_size=2))
+    return sorted(res), limit
+
+
+@pytest.mark.parametrize("kind", WIDE_MODULI)
+@given(data=st.data())
+def test_top_word_count_at_the_window_edge(kind, data):
+    q = data.draw(WIDE_MODULI[kind])
+    res, limit = data.draw(edge_residues(q))
+    limits = [x for x in (limit - 1, limit, limit + 1) if 0 <= x and 2 * x < q]
+    assert count_exact_residues(res, q, limits) == [literal_count(res, q, x) for x in limits]
+    # the same residues under a dilation p/q, with s on the threshold limit
+    p = data.draw(st.integers(1, q - 1).filter(lambda p: math.gcd(p, q) == 1))
+    p_inv = pow(p, -1, q)
+    elements = sorted((r * p_inv) % q + j * q for j, r in enumerate(res))
+    n = len(elements)
+    s = Fraction(limit * n + data.draw(st.integers(0, n - 1)), q)
+    r = pair_correlation(elements, Alpha.rational(p, q), n, s)
+    assert r == Fraction(2 * literal_count(res, q, limit), n)
+    assert r == pair_correlation_naive(elements, Alpha.rational(p, q), n, s)
+
+
+@pytest.mark.parametrize("bits", [96, 4209])
+@given(data=st.data())
+def test_wide_fixed_point_refuses_exactly_when_the_guard_window_holds_a_pair(bits, data):
+    # a fixed-point cell is counted at both ends of its guard window and
+    # refused when they differ; the ends are counted from the literal pairs
+    guard = data.draw(st.sampled_from([1, 8, 64]))
+    alpha = Alpha.fixed(data.draw(st.integers(0, (1 << bits) - 1)), bits, guard)
+    q, width = 1 << bits, 1 << (bits - guard)
+    elements = sorted(data.draw(st.lists(st.integers(-width + 1, width - 1),
+                                         min_size=2, max_size=10, unique=True)))
+    n = len(elements)
+    res = [alpha.mantissa * x % q for x in elements]
+    # s puts the threshold near a pair's distance, inside or outside its window
+    a, b = data.draw(st.permutations(res))[:2]
+    window = 1 << (bits - guard + 1)
+    near = min((a - b) % q, (b - a) % q) + data.draw(st.integers(-3 * window, 3 * window))
+    s = Fraction(max(near, 0) * n, q)
+    limits = paircorr._cell_limits(q, alpha, n, s) if 2 * s < n else None
+    try:
+        r = pair_correlation(elements, alpha, n, s)
+    except PrecisionError as exc:
+        assert "mantissa bits" not in str(exc)
+        assert limits is None or literal_count(res, q, limits[0]) != literal_count(
+            res, q, limits[1])
+        return
+    if 2 * s < n:
+        assert limits is not None
+        assert r == Fraction(2 * literal_count(res, q, limits[0]), n)
+        assert literal_count(res, q, limits[0]) == literal_count(res, q, limits[1])
+    assert r == pair_correlation_naive(elements, Alpha.rational(alpha.mantissa, q), n, s)
+
+
+def test_distinct_residues_under_one_top_word():
+    # q = 2**66 puts four residues under every top word; the band of a limit
+    # below q / 2**64 holds distance 0, so these pairs are settled exactly
+    q = 1 << 66
+    res = [0, 1, 1, 3, 4, q - 1]
+    for limit in range(0, 9):
+        assert count_exact_residues(res, q, [limit]) == [literal_count(res, q, limit)], limit
+
+
+def test_two_residues_a_limit_apart_are_counted_by_multiplicity():
+    # every cross pair is at top-word distance floor or ceil of L * 2**64 / q,
+    # so all 10^10 of them are undecided; equal residues settle them at once
+    q, m = U64 + 13, 100_000
+    low, limit = 12345678901234567, 5 * U64 // 17
+    elements = [low + j * q for j in range(m)] + [low + limit + j * q for j in range(m)]
+    elements.sort()
+    n = 2 * m
+    start = time.perf_counter()
+    r_in = pair_correlation(elements, Alpha.rational(1, q), n, Fraction(limit * n, q))
+    r_out = pair_correlation(elements, Alpha.rational(1, q), n, Fraction((limit - 1) * n, q))
+    assert time.perf_counter() - start < 2.0
+    assert r_in == Fraction(n * (n - 1), n)
+    assert r_out == Fraction(2 * m * (m - 1), n)

@@ -7,6 +7,7 @@ offsets from twice the run start.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -280,6 +281,34 @@ def test_file_rejects_non_increasing(tmp_path):
     path.write_text("1\ntwo\n")
     with pytest.raises(ValueError, match="line 2"):
         read_sequence(path)
+
+
+def test_file_round_trip_past_the_decimal_digit_cap(tmp_path):
+    # the interpreter caps int <-> str conversions at 4300 digits by default;
+    # the file format lifts the cap for each call and puts it back after
+    cap = sys.get_int_max_str_digits()
+    huge = 7 * 10**5200 + 3  # 5201 digits
+    path = tmp_path / "huge.txt"
+    write_sequence(path, [1, huge, huge + 1])
+    assert sys.get_int_max_str_digits() == cap
+    assert read_sequence(path)[0] == [1, huge, huge + 1]
+    assert sys.get_int_max_str_digits() == cap
+
+
+class FailingElements(list):
+    """Elements whose iteration fails after the first few."""
+
+    def __iter__(self):
+        yield from (1, 2, 3)
+        raise MemoryError("out of memory")
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    path = tmp_path / "partial.txt"
+    with pytest.raises(MemoryError):
+        write_sequence(path, FailingElements(), meta={"family": "custom"})
+    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_as_elements_passthrough():
