@@ -88,6 +88,13 @@ def _p_int(tok: str) -> int:
         raise ConfigError(f"not an integer: {tok!r}") from None
 
 
+def _p_budget(tok: str) -> int:
+    value = _p_int(tok)
+    if value < 0:
+        raise ConfigError(f"a budget cannot be negative: {tok!r}")
+    return value
+
+
 def _p_fraction(tok: str) -> Fraction:
     try:
         return Fraction(tok)
@@ -205,13 +212,13 @@ EXPERIMENTS: dict[str, list[Param]] = {
     ],
     "energy": _SEQ_PARAMS + [
         Param("energy.n", "--n", _p_int, help="truncation (default: full length)"),
-        Param("energy.max_pairs", "--max-pairs", _p_int,
+        Param("energy.max_pairs", "--max-pairs", _p_budget,
               default=str(DEFAULT_MAX_PAIRS)),
     ],
     "scaling": _SEQ_PARAMS + [
         Param("scaling.levels", "--levels", _p_levels,
               help="e.g. 8..13 (default: all levels with a nonempty run)"),
-        Param("scaling.max_pairs", "--max-pairs", _p_int,
+        Param("scaling.max_pairs", "--max-pairs", _p_budget,
               default=str(DEFAULT_MAX_PAIRS)),
         Param("out.csv", "--csv", _p_str, required=True),
     ],
@@ -236,7 +243,7 @@ EXPERIMENTS: dict[str, list[Param]] = {
         Param("mc.s", "--s", _p_frac_list, default="1"),
         Param("mc.seed", "--seed", _p_int, required=True),
         Param("mc.delta", "--delta", _p_float, default="0.5"),
-        Param("mc.max_points", "--max-points", _p_int, default="50000000"),
+        Param("mc.max_points", "--max-points", _p_budget, default="50000000"),
         Param("out.csv", "--csv", _p_str, required=True),
     ],
     "bohr": [
@@ -254,7 +261,7 @@ EXPERIMENTS: dict[str, list[Param]] = {
         Param("table.beta", "--beta", _p_float, default="2/3"),
         Param("table.gamma", "--gamma", _p_float, default="1/3"),
         Param("table.eps", "--eps", _p_float, default="1"),
-        Param("table.max_pairs", "--max-pairs", _p_int,
+        Param("table.max_pairs", "--max-pairs", _p_budget,
               default=str(DEFAULT_MAX_PAIRS)),
         Param("out.csv", "--csv", _p_str, required=True),
     ],

@@ -9,8 +9,8 @@ the quadruples by their common difference.
 Three independent routes are implemented and kept separate on purpose:
 
 * ``additive_energy`` and ``energy_scaling`` — the production path, one
-  evaluator for a whole grid of prefixes.  Where it pays, the runs of
-  consecutive elements (after reducing by the gcd of the gaps) are split
+  evaluator for a whole grid of prefixes, read untranslated.  Where it
+  pays, the runs of consecutive elements (over the gcd of the gaps) are split
   off and the remaining points taken as geometric families b + 2^i, i in
   [lo, hi] (maximal chains of points whose gaps double): every pair with a
   run member is counted as a trapezoid, one per run and partner block,
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -63,7 +64,8 @@ __all__ = [
 
 
 def _validated(a: Iterable[int]) -> list[int]:
-    out = sorted(a)
+    # Python ints, which the exact pass reads as they are
+    out = sorted(map(operator.index, a))
     if not out:
         raise ValueError("need a nonempty set of integers")
     for u, v in zip(out, out[1:]):
@@ -200,12 +202,13 @@ def _energies(xs: Sequence[int], ns: Sequence[int],
     any piece or pair is formed.
 
     E = n^2 + 2 * sum over d > 0 of r(d)^2, where r(d) counts the pairs at
-    difference d.  The longest prefix is reduced to y = (x - min) / g (g the
-    gcd of its gaps), with span S = max y.  Energy is affine-invariant and g
-    divides every shorter prefix's gaps too, so this one reduction serves
-    every prefix.  The distinct lengths in ``ns`` are the grid cells; each
-    pair is tagged with the cell of its larger index, the shortest prefix
-    that holds it.
+    difference d.  The longest prefix is reduced to y = x / g (g the gcd of
+    its gaps), with span S = max y - min y; g divides every shorter prefix's
+    gaps too, so this one reduction serves every prefix.  Energy is
+    translation-invariant and the pass reads only differences of the ys, so
+    they are not translated (``_reduced``).  The distinct lengths in ``ns``
+    are the grid cells; each pair is tagged with the cell of its larger
+    index, the shortest prefix that holds it.
 
     Runs and points.  A run is a maximal stretch of consecutive y inside one
     cell with at least two members; every other element is a point.  Then
@@ -304,11 +307,12 @@ _NO_SPLIT = {"runs": 0, "points": 0, "point_pairs": 0, "pieces": 0, "cross_hits"
              "set_pairs_kept": 0}
 
 
-def _reduced(xs: Sequence[int]) -> tuple[list[int], np.ndarray]:
-    """The reduced y = (x - x[0]) / g of the n >= 2 ``xs`` (g the gcd of
-    their gaps), and where a gap is g: where y[i + 1] = y[i] + 1.  Elements
-    whose span fits an int64 are read by numpy, others as Python ints.
-    Raises ``ValueError`` unless ``xs`` is strictly increasing."""
+def _reduced(xs: Sequence[int]) -> tuple[Sequence[int], np.ndarray]:
+    """The reduced y = x / g of the n >= 2 ``xs`` (g the gcd of their gaps):
+    ``xs`` itself when g = 1, else the quotients x // g (every x leaves one
+    remainder mod g), never translated; and where y[i + 1] = y[i] + 1.  The
+    gaps of a span that fits an int64 are found by numpy, others as Python
+    ints.  Raises ``ValueError`` unless ``xs`` is strictly increasing."""
     try:
         words = np.array(xs, dtype=np.int64)
     except OverflowError:
@@ -318,57 +322,61 @@ def _reduced(xs: Sequence[int]) -> tuple[list[int], np.ndarray]:
         if (gaps <= 0).any():
             raise ValueError("elements must be strictly increasing")
         step = int(np.gcd.reduce(gaps))
-        return ((words - words[0]) // step).tolist(), gaps == step
-    gaps = [v - u for u, v in zip(xs, xs[1:])]
-    if min(gaps) <= 0:
-        raise ValueError("elements must be strictly increasing")
-    step = math.gcd(*gaps)
-    return ([(x - xs[0]) // step for x in xs],
-            np.fromiter((g == step for g in gaps), dtype=bool, count=len(gaps)))
+        joined = gaps == step
+    else:
+        gaps = [v - u for u, v in zip(xs, xs[1:])]
+        if min(gaps) <= 0:
+            raise ValueError("elements must be strictly increasing")
+        step = math.gcd(*gaps)
+        joined = np.fromiter((g == step for g in gaps), dtype=bool, count=len(gaps))
+    return (xs if step == 1 else [x // step for x in xs]), joined
 
 
-def _blocks(joined: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks in order, as (first index, length): the runs, maximal
+def _blocks(ys: Sequence[int], joined: np.ndarray,
+            cells: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The blocks in order, as (first y, length, cell): the runs, maximal
     stretches of consecutive y (``joined`` neighbours) inside one cell, and
     single points between them."""
     joined = joined & (cells[1:] == cells[:-1])  # a run lies inside one cell
     starts = np.flatnonzero(np.concatenate(([True], ~joined)))
-    return starts, np.diff(np.append(starts, len(cells)))
+    return ([ys[i] for i in starts.tolist()], np.diff(np.append(starts, len(cells))),
+            cells[starts])
 
 
 class _Plan:
     """One pass over xs[:max(grid)] (n >= 2): the reduced elements, their
-    cells, the run part and the families when the split is taken, and the
-    work the pass will do, all before any pair is formed (see
-    ``_energies``)."""
+    cells, their ``_blocks`` record, the runs among the blocks, the pieces
+    and the families when the split is taken, and the work the pass will
+    do, all before any piece or pair is formed (see ``_energies``)."""
 
     def __init__(self, xs: Sequence[int], grid: list[int]) -> None:
         n = len(xs)
-        ys, joined = _reduced(xs)
-        self.ys = ys
+        self.ys, joined = _reduced(xs)
         self.n_cells = len(grid)
         # the cell of element i is the first prefix that holds it
         self.cells = np.searchsorted(np.array(grid), np.arange(n), side="right").astype(np.int32)
-        self.runs = self.families = None
+        self.blocks = _blocks(self.ys, joined, self.cells)
+        lengths = self.blocks[1]
+        # a run pairs with every block from itself on, and every point below it
+        self.runs = np.flatnonzero(lengths >= 2)
+        below = np.searchsorted(np.flatnonzero(lengths == 1), self.runs)
+        self.pieces = int((len(lengths) - self.runs).sum() + below.sum())
+        self.families = None
         # the key pass alone: every pair, and a Python-int step per element
         self.work = min(n * n, _INT_STEP * n + n * (n - 1) // 2)
-        starts, lengths = _blocks(joined, self.cells)
-        n_runs = int((lengths >= 2).sum())
-        runs = _RunPart(ys, self.cells, self.n_cells, starts, lengths) if n_runs else None
-        pieces = 0 if runs is None else runs.n_pieces
-        # the split pays when its work is at most half of the key pass's
+        # the split pays when its work is at most half of the key pass's;
+        # the chains of ``_RunPart._groups`` must span less than M0 / 4
         limit = n * (n - 1) // 4
-        fewest = -(-int((lengths == 1).sum()) // (ys[-1] + 1).bit_length())
-        if pieces + _INT_STEP * _Families.items(fewest, n_runs) > limit:
+        n_runs = len(self.runs)
+        fewest = -(-(len(lengths) - n_runs) // (self.ys[-1] - self.ys[0] + 1).bit_length())
+        if (self.pieces + _INT_STEP * _Families.items(fewest, n_runs) > limit
+                or self.pieces * (2 * int(lengths.max()) + 1) >= _M0 // 4):
             return
-        families = _Families.find(ys, self.cells, starts, lengths)
+        families = _Families.find(self.blocks)
         family_work = _INT_STEP * _Families.items(len(families.families), n_runs)
-        if pieces + family_work > limit or runs is not None and not runs.fits:
-            return
-        self.runs, self.families = runs, families
-        self.run_list = [(ys[starts[b]], int(lengths[b]), int(self.cells[starts[b]]), b)
-                         for b in np.flatnonzero(lengths >= 2).tolist()]
-        self.work = min(n * n, _INT_STEP * n + pieces + family_work)
+        if self.pieces + family_work <= limit:
+            self.families = families
+            self.work = min(n * n, _INT_STEP * n + self.pieces + family_work)
 
     def square_sums(self) -> np.ndarray:
         """Each cell's increment of the sum of r(d)^2 over the pairs of the
@@ -379,9 +387,11 @@ class _Plan:
             for part in _key_pass(self.ys, self.cells, self.n_cells):
                 increments += part
             return increments
-        if self.runs is not None:
-            increments += self.runs.square_sums()
-        increments += self.families.square_sums(self.n_cells, self.run_list)
+        if len(self.runs):
+            increments += _RunPart(self.blocks, self.runs, self.n_cells).square_sums()
+        firsts, lengths, cells = self.blocks
+        runs = [(firsts[b], int(lengths[b]), int(cells[b]), b) for b in self.runs.tolist()]
+        increments += self.families.square_sums(self.n_cells, runs)
         return increments
 
     def counts(self) -> dict[str, int]:
@@ -391,9 +401,9 @@ class _Plan:
         n = len(self.ys)
         out = dict(_NO_SPLIT, points=n, point_pairs=n * (n - 1) // 2)
         if self.families is not None:
-            if self.runs is not None:
-                out.update(self.runs.counts())
-            out.update(self.families.counts(), point_pairs=0)
+            n_runs = len(self.runs)
+            out.update(self.families.counts(), runs=n_runs, points=len(self.blocks[1]) - n_runs,
+                       pieces=self.pieces, point_pairs=0)
         return out
 
 
@@ -566,37 +576,23 @@ class _RunPart:
     or 1^2 + ... + (L - 1)^2 for a ramp.
     """
 
-    def __init__(self, ys: list[int], cells: np.ndarray, n_cells: int, starts: np.ndarray,
-                 lengths: np.ndarray) -> None:
-        """The layout of the pieces of the increasing ``ys`` (with their
-        cells and ``_blocks``, at least one a run), and their number."""
-        self.ys = ys
+    def __init__(self, blocks: tuple[list[int], np.ndarray, np.ndarray], runs: np.ndarray,
+                 n_cells: int) -> None:
+        """The pieces of the ``_blocks`` record whose blocks ``runs`` (at
+        least one) are the runs."""
+        firsts, lengths, block_cells = blocks
+        self.firsts = firsts
         self.n_cells = n_cells
-        self.starts = starts
-        runs = np.flatnonzero(lengths >= 2)
-        points = np.flatnonzero(lengths == 1)
-        below = np.searchsorted(points, runs)
-        self.n_runs, self.n_points = len(runs), len(points)
-        self.n_pieces = int((len(starts) - runs).sum() + below.sum())
         self.width = 2 * int(lengths.max())
-        # the chains of ``_groups`` must span less than M0 / 4
-        self.fits = self.n_pieces * (self.width + 1) < _M0 // 4
-        self._layout = (cells, lengths, runs, points, below)
-
-    def _build(self) -> None:
-        """The pieces, built by ``square_sums`` so that the split's work is
-        known, and can be refused, before any is formed."""
-        cells, lengths, runs, points, below = self._layout
-        ys, starts = self.ys, self.starts
-        n_blocks = len(starts)
         # a run pairs with every block from itself on, and every point below it
-        runs, points = runs.astype(np.int32), points.astype(np.int32)
-        upper = np.concatenate([np.arange(r, n_blocks, dtype=np.int32) for r in runs.tolist()]
+        runs = runs.astype(np.int32)
+        points = np.flatnonzero(lengths == 1).astype(np.int32)
+        below = np.searchsorted(points, runs)
+        upper = np.concatenate([np.arange(r, len(lengths), dtype=np.int32) for r in runs.tolist()]
                                + [np.repeat(runs, below)])
-        lower = np.concatenate([np.repeat(runs, n_blocks - runs)]
+        lower = np.concatenate([np.repeat(runs, len(lengths) - runs)]
                                + [points[:b] for b in below.tolist()])
-        block_cells = cells[starts]
-        block_res = np.array([ys[i] % _M0 for i in starts.tolist()], dtype=np.int64)
+        block_res = np.array([f % _M0 for f in firsts], dtype=np.int64)
         lengths = lengths.astype(np.int32)
         self.upper, self.lower = upper, lower
         self.lu, self.lv = lengths[upper], lengths[lower]
@@ -605,9 +601,6 @@ class _RunPart:
         self.lo = np.where(self.ramp, 1, 1 - self.lv).astype(np.int32)  # support of d - base
         self.hi = self.lu - 1
         self.res = (block_res[upper] - block_res[lower]) % _M0  # base mod M0
-
-    def counts(self) -> dict[str, int]:
-        return {"runs": self.n_runs, "points": self.n_points, "pieces": self.n_pieces}
 
     def _groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pieces of the chains longer than one, group by group, with
@@ -622,15 +615,15 @@ class _RunPart:
         chain = np.concatenate(([0], np.cumsum(np.diff(r) > self.width)))
         in_long = np.bincount(chain)[chain] > 1
         long, chain = order[in_long], chain[in_long]
-        tops, bottoms = self.starts[self.upper[long]], self.starts[self.lower[long]]
+        tops, bottoms = self.upper[long], self.lower[long]
         edges = np.flatnonzero(np.diff(chain, prepend=-1)).tolist() + [len(long)]
         shared = np.empty(len(long), dtype=np.int64)
         group = np.empty(len(long), dtype=np.int64)
         offset = np.empty(len(long), dtype=np.int64)
-        ys, i, g = self.ys, 0, -1
+        firsts, i, g = self.firsts, 0, -1
         for a, b in zip(edges, edges[1:]):
             # one chain, by Python-int base
-            members = sorted((ys[t] - ys[u], k) for t, u, k in zip(
+            members = sorted((firsts[t] - firsts[u], k) for t, u, k in zip(
                 tops[a:b].tolist(), bottoms[a:b].tolist(), long[a:b].tolist()))
             last = None
             for base, k in members:
@@ -642,7 +635,6 @@ class _RunPart:
 
     def square_sums(self) -> np.ndarray:
         """Each cell's increment of the sum of r_R(d)^2 over d > 0."""
-        self._build()
         out = np.zeros(self.n_cells, dtype=np.int64)
         shared, group, offset = self._groups()
         lone = np.ones(len(self.res), dtype=bool)
@@ -722,15 +714,12 @@ class _Families:
                 for u, (b2, lo2, hi2, _, _) in enumerate(self.families[:t + 1])]
 
     @classmethod
-    def find(cls, ys: list[int], cells: np.ndarray, starts: np.ndarray,
-             lengths: np.ndarray) -> "_Families":
-        """The families of the points among the ``_blocks``: greedy chains of
-        consecutive single blocks of one cell whose first gap is a power of
-        two and whose every next gap doubles the last; a point that starts
-        no chain is b + 2^0 with b = y - 1."""
-        first = [ys[i] for i in starts.tolist()]
-        single = (lengths == 1).tolist()
-        block_cells = cells[starts].tolist()
+    def find(cls, blocks: tuple[list[int], np.ndarray, np.ndarray]) -> "_Families":
+        """The families of the points among the ``_blocks`` record: greedy
+        chains of consecutive single blocks of one cell whose first gap is a
+        power of two and whose every next gap doubles the last; a point that
+        starts no chain is b + 2^0 with b = y - 1."""
+        first, single, block_cells = blocks[0], (blocks[1] == 1).tolist(), blocks[2].tolist()
         families = []
         k = 0
         while k < len(first):

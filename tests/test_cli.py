@@ -276,6 +276,24 @@ def test_budget_refusals_exit_4(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("argv", [
+    ["energy", "--family", "identity", "--seq-n", "10", "--max-pairs=-5"],
+    ["scaling", "--family", "blocks", "--f", "ilog(1)", "--beta", "2/3", "--gamma", "1/3",
+     "--jmax", "8", "--max-pairs=-5", "--csv", "{out}"],
+    ["corollary-table", "--r", "1", "--jmax", "12", "--max-pairs=-5", "--csv", "{out}"],
+    ["mc", "--family", "power", "--seq-n", "50", "--trials", "1", "--schedule", "50",
+     "--seed", "1", "--max-points=-1", "--csv", "{out}"],
+], ids=["energy", "scaling", "corollary-table", "mc"])
+def test_negative_budgets_are_config_errors(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert run_cli(*(a.format(out=out) for a in argv)) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    key = {"energy": "energy.max_pairs", "scaling": "scaling.max_pairs",
+           "corollary-table": "table.max_pairs", "mc": "mc.max_points"}[argv[0]]
+    assert line.startswith(f"config error: {key}: ") and "negative" in line
+    assert not out.exists()
+
+
 def test_budget_refusals_come_before_the_sequence_is_loaded(tmp_path, monkeypatch, capsys):
     def no_load(p):
         raise AssertionError("the sequence was loaded before the budget check")
@@ -452,21 +470,31 @@ COMMAND_FLAGS = {
     },
     "energy": {
         "--n": ([None, "1", "7"], ["0", "-1", "x"]),
-        "--max-pairs": ([None, "30", "100000"], ["x", "1/2"]),
+        "--max-pairs": ([None, "30", "100000"], ["x", "1/2", "-1"]),
     },
     "scaling": {
         "--levels": ([None, "2..8", "8", "3,5"], ["8..7", "", "0..2", "7..9", "x"]),
-        "--max-pairs": ([None, "30", "100000"], ["x", "1/2"]),
+        "--max-pairs": ([None, "30", "100000"], ["x", "1/2", "-1"]),
     },
     "bohr": {
         "--d": (["1", "2", "-7", "30"], ["0", "x", "1/2", None]),
         "--delta": (["0", "1/8", "1/3", "1/2"], ["-1/4", "3/4", "x", "1/0", None]),
     },
     "build-seq": {},
+    "corollary-table": {
+        "--r": (["1", "2"], ["0", "3", "x"]),
+        "--jmax": (["2", "5", "8"], ["0", "-1", "x"]),
+        "--beta": ([None, "0.7"], ["2", "x"]),
+        "--gamma": ([None, "0.45"], ["2", "x"]),
+        "--eps": (["1", "1/2"], ["0", "2", "x"]),
+        "--max-pairs": ([None, "30", "100000"], ["x", "1/2", "-1"]),
+    },
 }
-# the sequence flags each command draws from: none for bohr, classic families
-# for build-seq, blocks for probe, either for the others
-SEQ_POOLS = {"bohr": {}, "build-seq": CLASSIC_FLAGS, "probe": BLOCK_FLAGS}
+# the sequence flags each command draws from: none for bohr and
+# corollary-table, classic families for build-seq, blocks for probe, either
+# for the others
+SEQ_POOLS = {"bohr": {}, "corollary-table": {}, "build-seq": CLASSIC_FLAGS,
+             "probe": BLOCK_FLAGS}
 
 
 @st.composite

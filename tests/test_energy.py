@@ -149,20 +149,36 @@ def test_shared_primary_residue_is_confirmed():
 
 @pytest.mark.parametrize("xs", [
     [0, 3, 6, 7],  # int64, with a run at the top
-    [-(1 << 62), 1 << 62],  # int64, span just inside
+    [-(1 << 62), 1 << 62],  # int64, span just inside, g = 2^63
     [-(1 << 63), 0, (1 << 63) - 1],  # every element an int64, the span not
     [-(1 << 63), -5, -4, 1 << 63],  # an element past int64
+    [-9, -3, 3, 5],  # int64, g = 2, below zero
+    [3 - (1 << 70), 3, 9, 15],  # past int64, g = 2, below zero
 ])
 def test_reduction_reads_int64_spans_and_python_ints_alike(xs):
+    # y = x / g, never translated: the caller's own list when g = 1, else the
+    # quotients x // g, whose gaps are the gaps over g
     step = math.gcd(*(v - u for u, v in zip(xs, xs[1:])))
     ys, joined = energy._reduced(xs)
-    assert ys == [(x - xs[0]) // step for x in xs]
-    assert joined.tolist() == [v - u == 1 for u, v in zip(ys, ys[1:])]
+    if step == 1:
+        assert ys is xs
+    else:
+        assert ys == [x // step for x in xs]
+        assert [v - u for u, v in zip(ys, ys[1:])] == [(v - u) // step for u, v in zip(xs, xs[1:])]
+    assert joined.tolist() == [v - u == step for u, v in zip(xs, xs[1:])]
     assert additive_energy(xs) == energy_from_reps(rep_counts(xs))
     with pytest.raises(ValueError, match="strictly increasing"):
         energy._reduced(xs[::-1])
     with pytest.raises(ValueError, match="strictly increasing"):
         energy._reduced(xs + xs[-1:])
+
+
+def test_numpy_integers_are_read_as_python_ints():
+    # the pass reads the elements themselves (``_reduced`` returns them when
+    # g = 1), so a fixed-width integer must not reach its big-int arithmetic
+    for a in (np.arange(0, 300, 3), np.array([0, 1, 2, 5, 9, 1 << 40, (1 << 40) + 1]),
+              [np.int64(v) for v in (3, 4, 5, 11, 1 << 62)]):
+        assert additive_energy(a) == energy_from_reps(rep_counts([int(v) for v in a]))
 
 
 def test_segments_stop_short_of_half_m0():

@@ -15,6 +15,10 @@ to a segment's end.  Each is checked against the representation counts,
 against brute force up to 64 elements, against the bounds
 n^2 <= E <= n^3 and under x -> a*x + b; prefix grids are checked prefix
 by prefix, with unsorted and repeated lengths, and with small pair caps.
+The pass reads the caller's elements over the gcd of their gaps, never
+translated, so a translation x -> x + c (to zero at the top or middle, or
+by +-2^300 and more) must leave its whole result the same: the energies
+and the split dict, that is, every decision the route takes.
 """
 
 import functools
@@ -219,6 +223,36 @@ def test_energy_scaling_matches_per_prefix_oracles(params, cap, data):
     for row in rows:
         assert row.n == seq.checkpoint(row.level)
         assert row.energy == block_oracle(params, row.n)
+
+
+def shifts(a):
+    """Translations that put the top, or the middle, of ``a`` at zero, or
+    move it far below zero or far above."""
+    return [-a[-1], -a[len(a) // 2], -(1 << 300), 1 << 700]
+
+
+@pytest.mark.parametrize("kind", ["block-like", "runs and points"])
+@given(data=st.data())
+def test_translation_keeps_the_whole_result(kind, data):
+    # the pass reads the caller's elements untranslated, so every decision
+    # it takes (split or key pass, families, pieces) must read differences
+    # only: the energies and the split dict are the same for a + c
+    a = data.draw(SETS[kind])
+    ns = data.draw(grids(len(a)))
+    want = energy._energies(a, ns)
+    for c in shifts(a):
+        assert energy._energies([x + c for x in a], ns) == want
+
+
+def test_translation_keeps_the_route_on_blocks():
+    # a run-bearing grid whose points form families; a decision read from
+    # the top element alone would send a shifted copy to the key pass
+    seq = build_blocks(GrowthFunction("ilog", r=1), 0.7, 0.45, 9)
+    ns = [seq.checkpoint(j) for j in range(2, 10)]
+    want = energy._energies(seq.elements, ns)
+    assert want[1]["runs"] > 0 and want[1]["families"] == 5
+    for c in shifts(seq.elements):
+        assert energy._energies([x + c for x in seq.elements], ns) == want
 
 
 @pytest.mark.parametrize("k", [3, 31, 500, 4096])
