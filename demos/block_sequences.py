@@ -5,7 +5,7 @@
 import os
 import tempfile
 
-from ppclab import GrowthFunction, build_blocks, max_element_bits, read_sequence, write_sequence
+from ppclab import GrowthFunction, build_blocks, load_sequence, max_element_bits, write_sequence
 
 f = GrowthFunction("ilog", r=1)
 seq = build_blocks(f, beta=2 / 3, gamma=1 / 3, j_max=8)
@@ -23,11 +23,13 @@ for b in seq.blocks:
 # with no consecutive run at all
 print("\nrun lengths:", [seq.a_block(j).length for j in range(1, 9)])
 
-# round-trip through the on-disk format (decimal per line, '#' metadata);
-# block metadata is verified on read by rebuilding
+# round-trip through the on-disk format (decimal per line, '#' metadata):
+# load_sequence rebuilds the blocks from the metadata and checks every line
+# of the file against them as it reads
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "blocks.txt")
     write_sequence(path, seq)
-    elements, meta = read_sequence(path)
-assert elements == seq.elements
-print("\nround-trip ok; metadata:", meta)
+    loaded = load_sequence(path)
+assert loaded.elements == seq.elements
+assert loaded.checkpoints == seq.checkpoints
+print("\nround-trip ok; parameters:", loaded.params)

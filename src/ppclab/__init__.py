@@ -52,6 +52,7 @@ from .sequences import (
     ClassicSequence,
     build_blocks,
     classic,
+    load_sequence,
     max_element_bits,
     read_sequence,
     rebuild_from_meta,
@@ -108,6 +109,7 @@ __all__ = [
     "ClassicSequence",
     "build_blocks",
     "classic",
+    "load_sequence",
     "max_element_bits",
     "read_sequence",
     "rebuild_from_meta",

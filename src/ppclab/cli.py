@@ -61,8 +61,7 @@ from .sequences import (
     as_elements,
     build_blocks,
     classic,
-    read_sequence,
-    rebuild_from_meta,
+    load_sequence,
     truncate,
     write_sequence,
 )
@@ -377,16 +376,7 @@ def _load_sequence(p: dict[str, object]):
         if p.get("seq.family") is None:
             raise ConfigError("no sequence given (seq.file or seq.family)")
         return _build_from_params(p)
-    elements, meta = read_sequence(path)
-    if meta.get("family") == "blocks":
-        seq = rebuild_from_meta(meta)
-        if seq.elements != elements:
-            raise ValueError(
-                f"{path}: elements do not match their block metadata; "
-                "the file was edited or written with different code"
-            )
-        return seq
-    return elements
+    return load_sequence(path)
 
 
 def _require_blocks(seq, what: str) -> BlockSequence:

@@ -351,9 +351,16 @@ def _count_within_u64(sorted_words: np.ndarray, q: int, limits: Sequence[int],
     """
     if q > _U64_MODULUS:
         bands = [((x << 64) // q, -(-(x << 64) // q)) for x in limits]
-        inside = _count_within_u64(sorted_words, _U64_MODULUS, [a - 1 for a, _ in bands])
-        return [c + _edge_pairs(sorted_words, q, x, range(a, b + 1), exact) if x >= 0 else 0
-                for c, x, (a, b) in zip(inside, limits, bands)]
+        # beside each count at A - 1 the sweep counts the pairs at top-word
+        # distance <= B (when B < 2**63, else the band is searched): where
+        # the two agree the band A..B is empty, and no exact residue is read
+        tops = [b if b < 1 << 63 else -1 for _, b in bands]
+        counts = _count_within_u64(sorted_words, _U64_MODULUS, [a - 1 for a, _ in bands] + tops)
+        m = len(limits)
+        for i, (x, (a, b)) in enumerate(zip(limits, bands)):
+            if x >= 0 and (tops[i] < 0 or counts[m + i] > counts[i]):
+                counts[i] += _edge_pairs(sorted_words, q, x, range(a, b + 1), exact)
+        return counts[:m]
     n = len(sorted_words)
     return [
         sum(_count_block(sorted_words, q, limit, lo, min(lo + _SEARCH_CHUNK, n))

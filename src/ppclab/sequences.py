@@ -24,7 +24,8 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "estimate_build_bits",
     "write_sequence",
     "read_sequence",
+    "load_sequence",
     "as_elements",
 ]
 
@@ -420,6 +422,15 @@ def block_meta(seq: BlockSequence) -> dict[str, str]:
     }
 
 
+def _read_meta(line: str, meta: dict[str, str]) -> None:
+    """Record a stripped ``# key = value`` comment line; the first value of
+    a key wins."""
+    body = line[1:].strip()
+    if "=" in body:
+        key, _, value = body.partition("=")
+        meta.setdefault(key.strip(), value.strip())
+
+
 def read_sequence(path) -> tuple[list[int], dict[str, str]]:
     """Read elements and top-comment metadata; enforces strict increase."""
     elements: list[int] = []
@@ -430,10 +441,7 @@ def read_sequence(path) -> tuple[list[int], dict[str, str]]:
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta.setdefault(key.strip(), value.strip())
+                _read_meta(line, meta)
                 continue
             try:
                 x = int(line)
@@ -459,3 +467,127 @@ def rebuild_from_meta(meta: dict[str, str]) -> BlockSequence:
         raise ValueError(f"sequence file lacks block metadata key {exc}") from None
     return build_blocks(f, beta, gamma, j_max)
 
+
+def load_sequence(path) -> Union[BlockSequence, list[int]]:
+    """The sequence a file holds: the rebuilt blocks when its metadata names
+    the block family, else its elements.
+
+    A block file must hold exactly the elements its metadata rebuilds.  It
+    is checked line by line against the rebuilt elements as it streams, so
+    no parsed copy is ever held.  A file the stream does not take (any line
+    that differs, a blank line or a comment in the body, a run line not as
+    ``write_sequence`` writes it) goes the long way: ``read_sequence``,
+    rebuild, compare.  So every file loads, or is refused with the same
+    error, exactly as by the long way.
+    """
+    seq = _streamed_blocks(path)
+    if seq is not None:
+        return seq
+    elements, meta = read_sequence(path)
+    if meta.get("family") == "blocks":
+        seq = rebuild_from_meta(meta)
+        if seq.elements != elements:
+            raise ValueError(
+                f"{path}: elements do not match their block metadata; "
+                "the file was edited or written with different code"
+            )
+        return seq
+    return elements
+
+
+# lines compared per read; larger chunks raise the peak of a load for no speed
+_CHUNK_LINES = 1024
+
+
+def _streamed_blocks(path) -> BlockSequence | None:
+    """The blocks rebuilt from the top metadata comments of ``path`` when
+    every later line reads as the rebuilt element in its place; None for any
+    other file, or when reading or rebuilding fails.
+
+    A run line must be the bytes ``write_sequence`` writes.  Any other line
+    is read by ``int()``, which on bytes takes ASCII only and reads a line as
+    ``read_sequence`` reads it."""
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return None
+    with fh, _all_digits():
+        if not fh.seekable():  # a pipe read here could not be read again
+            return None
+        meta: dict[str, str] = {}
+        body = 0
+        for line in iter(fh.readline, b""):
+            if not line.startswith(b"#"):
+                break
+            if not (line.endswith(b"\n") and line.isascii()) or b"\r" in line:
+                return None
+            _read_meta(line.decode("ascii").strip(), meta)
+            body = fh.tell()
+        if meta.get("family") != "blocks":
+            return None
+        try:
+            seq = rebuild_from_meta(meta)
+        except Exception:  # the long way raises it again, or an error before it
+            return None
+        fh.seek(body)
+        elements, done = seq.elements, 0
+        for lo, hi in _run_spans(seq):
+            if not (
+                _lines_match(fh, iter(elements[done:lo]), lo - done, int)
+                and _lines_match(fh, _run_lines(elements[lo], hi - lo), hi - lo)
+            ):
+                return None
+            done = hi
+        rest = len(elements) - done
+        if not _lines_match(fh, iter(elements[done:]), rest, int) or fh.read(1):
+            return None
+    return seq
+
+
+def _lines_match(fh, want: Iterator, count: int, read=None) -> bool:
+    """Whether the next ``count`` lines of ``fh``, each passed through
+    ``read`` when given, are the next ``count`` values of ``want``."""
+    for k in range(0, count, _CHUNK_LINES):
+        n = min(_CHUNK_LINES, count - k)
+        lines = islice(fh, n)
+        try:
+            if list(map(read, lines) if read else lines) != list(islice(want, n)):
+                return False
+        except ValueError:
+            return False
+    return True
+
+
+def _run_spans(seq: BlockSequence) -> list[tuple[int, int]]:
+    """The index ranges [lo, hi) of the A blocks' storage, without overlap:
+    a run restarted over an earlier one starts where that one ended."""
+    elements, spans, done = seq.elements, [], 0
+    for b in seq.blocks:
+        lo, hi = max(b.start_index, done), b.start_index + b.length
+        # strictly increasing elements span hi - 1 - lo only if consecutive
+        if b.kind == "A" and hi > lo and elements[hi - 1] - elements[lo] == hi - 1 - lo:
+            spans.append((lo, hi))
+            done = hi
+    return spans
+
+
+def _run_lines(first: int, count: int) -> Iterator[bytes]:
+    """The lines ``write_sequence`` writes for first, first + 1, ...,
+    first + count - 1: a fixed-width tail below 10^width > count after the
+    decimal of the head, converted once per head value, as the tail carries
+    into the head at most once.  A head above the interpreter's digit cap
+    needs the caller inside ``_all_digits()``."""
+    width = len(str(count))
+    base = 10**width
+    head, low = divmod(first, base)
+    tail = b"%%0%dd\n" % width
+    parts = []
+    while count > 0:
+        numbers = range(low, min(base, low + count))
+        if head:
+            parts.append(map((b"%d" % head).__add__, map(tail.__mod__, numbers)))
+        else:
+            parts.append(map(b"%d\n".__mod__, numbers))
+        count -= len(numbers)
+        head, low = head + 1, 0
+    return chain.from_iterable(parts)

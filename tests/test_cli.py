@@ -420,16 +420,18 @@ def test_help_still_exits_zero(capsys, argv):
 
 # -- fuzzing the evaluator's commands ---------------------------------------------------
 #
-# pc, probe, mc, energy, scaling, bohr and build-seq (of classic families)
-# with flags drawn from small pools of valid and malformed tokens: whatever
-# the draw, main returns 0, 2, 3 or 4 and a refusal is one line on stderr.
-# Each flag has a pool of valid tokens and one of malformed ones (None leaves
-# the flag out); a run takes valid tokens for all flags but at most one, so
-# most runs get past the parser.  The pools keep every run small: classic
-# families of at most 50 elements, blocks through level 8, ranks up to 100,
-# short level ranges, Bohr frequencies up to 30.  Every draw is also written
-# as a config file and run through ``run``: the same exit code, and on
-# success the same stdout and output file bytes.
+# pc, probe, mc, energy, scaling, bohr, bc-ratio, corollary-table and
+# build-seq (of classic families and of blocks) with flags drawn from small
+# pools of valid and malformed tokens: whatever the draw, main returns 0, 2,
+# 3 or 4 and a refusal is one line on stderr.  Each flag has a pool of valid
+# tokens and one of malformed ones (None leaves the flag out); a run takes
+# valid tokens for all flags but at most one, so most runs get past the
+# parser.  The pools keep every run small: classic families of at most 50
+# elements, blocks through level 8 (level 40 is refused by the build
+# budget), ranks up to 100, short level ranges, Bohr frequencies up to 30,
+# interval files of a few lines.  Every draw is also written as a config
+# file and run through ``run``: the same exit code, and on success the same
+# stdout and output file bytes.
 
 CLASSIC_FLAGS = {
     "--family": (["identity", "power", "primes", "lacunary"], ["squares", None]),
@@ -481,6 +483,18 @@ COMMAND_FLAGS = {
         "--delta": (["0", "1/8", "1/3", "1/2"], ["-1/4", "3/4", "x", "1/0", None]),
     },
     "build-seq": {},
+    "build-seq-blocks": {
+        "--family": ([None, "blocks"], ["squares"]),
+        "--f": (["ilog(1)", "ilog(2)", "ilog_eps(1, 1/2)"], ["ilog(", "ilog(0)", "pow(1)", None]),
+        "--beta": (["0.7", "2/3"], ["x", "2", "0.3", "1/0", None]),
+        "--gamma": (["0.45", "1/3"], ["x", "0.9", "-1", None]),
+        "--jmax": (["1", "5", "8"], ["0", "-1", "x", "40", None]),
+    },
+    "bc-ratio": {
+        "--sets": (["half", "half middle", "middle pair half", "empty half"],
+                   ["empty", "half zero-den", "one-end", "words middle", "reversed",
+                    "non-ascii", "missing", "half missing"]),
+    },
     "corollary-table": {
         "--r": (["1", "2"], ["0", "3", "x"]),
         "--jmax": (["2", "5", "8"], ["0", "-1", "x"]),
@@ -490,39 +504,58 @@ COMMAND_FLAGS = {
         "--max-pairs": ([None, "30", "100000"], ["x", "1/2", "-1"]),
     },
 }
-# the sequence flags each command draws from: none for bohr and
-# corollary-table, classic families for build-seq, blocks for probe, either
-# for the others
-SEQ_POOLS = {"bohr": {}, "corollary-table": {}, "build-seq": CLASSIC_FLAGS,
-             "probe": BLOCK_FLAGS}
+# the sequence flags each command draws from: none for bohr, bc-ratio,
+# corollary-table and build-seq of blocks (whose own pools hold them),
+# classic families for build-seq, blocks for probe, either for the others
+SEQ_POOLS = {"bohr": {}, "bc-ratio": {}, "corollary-table": {}, "build-seq": CLASSIC_FLAGS,
+             "build-seq-blocks": {}, "probe": BLOCK_FLAGS}
+# the command a pool entry runs, where its name is not the command's
+COMMANDS = {"build-seq-blocks": "build-seq"}
+# the interval files bc-ratio draws from, by name; "missing" is never written
+INTERVAL_FILES = {
+    "half": b"0 1/2\n",
+    "middle": b"# a comment\n1/4 3/4\n",
+    "pair": b"0 1/8\n\n1/2 5/8\n",
+    "empty": b"",
+    "zero-den": b"0 1/0\n",
+    "one-end": b"1/2\n",
+    "words": b"x y\n",
+    "reversed": b"3/4 1/4\n",
+    "non-ascii": b"0 1/2\xa0\n",
+}
 
 
 @st.composite
-def evaluator_run(draw, command, out):
-    """The argv of one run of ``command`` and its config-file text, its
-    output file (if any) under ``out``."""
-    seq_pools = SEQ_POOLS[command] if command in SEQ_POOLS else (
+def evaluator_run(draw, name, out):
+    """The argv of one run of the pool entry ``name`` and its config-file
+    text, its output file (if any) under ``out``."""
+    command = COMMANDS.get(name, name)
+    seq_pools = SEQ_POOLS[name] if name in SEQ_POOLS else (
         BLOCK_FLAGS if draw(st.booleans()) else CLASSIC_FLAGS)
-    pools = {**seq_pools, **COMMAND_FLAGS[command]}
+    pools = {**seq_pools, **COMMAND_FLAGS[name]}
     bad = draw(st.sampled_from([None] * len(pools) + list(pools)))
     flags = {flag: draw(st.sampled_from(malformed if flag == bad else valid))
              for flag, (valid, malformed) in pools.items()}
-    system = []
+    greedy = {}  # flags whose tokens follow them one by one
     if command == "probe":
         source = flags.pop("source")
         if source != "system":
             flags["--alpha"] = draw(st.sampled_from(ALPHA[0])) if source != "neither" else None
         if source in ("system", "both"):
-            system = (draw(st.sampled_from(SYSTEM[0] + SYSTEM[1])) or "").split()
+            system = draw(st.sampled_from(SYSTEM[0] + SYSTEM[1]))
+            if system:
+                greedy["--alpha-from-regular-system"] = system.split()
+    if command == "bc-ratio":
+        greedy["--sets"] = [str(out / file) for file in flags.pop("--sets").split()]
     keys = {param.flag: param.key for param in EXPERIMENTS[command]}
     for flag in ("--csv", "--out"):
         if flag in keys:
             flags[flag] = str(out / f"{command}.out")
     # --flag=value, so that a value such as -1/2 is not read as a flag
     argv = [command] + [f"{flag}={value}" for flag, value in flags.items() if value is not None]
-    if system:  # a greedy flag: its tokens follow it one by one
-        argv += ["--alpha-from-regular-system", *system]
-        flags["--alpha-from-regular-system"] = " ".join(system)
+    for flag, tokens in greedy.items():
+        argv += [flag, *tokens]
+        flags[flag] = " ".join(tokens)
     config = [f"experiment = {command}"] + [
         f"{keys[flag]} = {value}" for flag, value in flags.items() if value is not None]
     return argv, "\n".join(config) + "\n"
@@ -535,11 +568,14 @@ def _run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("command", COMMAND_FLAGS)
+@pytest.mark.parametrize("name", COMMAND_FLAGS)
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_evaluator_commands_exit_with_a_code_and_one_line(tmp_path, command, data):
-    argv, config = data.draw(evaluator_run(command, tmp_path))
+def test_evaluator_commands_exit_with_a_code_and_one_line(tmp_path, name, data):
+    for file, content in INTERVAL_FILES.items():
+        (tmp_path / file).write_bytes(content)
+    argv, config = data.draw(evaluator_run(name, tmp_path))
+    command = argv[0]
     output = tmp_path / f"{command}.out"
     output.unlink(missing_ok=True)
     code, out, err = _run_main(argv)

@@ -280,6 +280,76 @@ def test_wide_rank_count_at_the_wrap():
     assert together == [circular_pairs_within(res, q, lim) for lim in limits]
 
 
+WIDE_Q = 3 * (1 << 64) + 1  # about three residues share each top word
+WIDE_LIMIT = 10**17 + 3
+
+
+def band_edges(q, limit):
+    return (limit << 64) // q, -(-(limit << 64) // q)
+
+
+def spy_edge_pairs(monkeypatch):
+    calls = []
+
+    def spy(words, q, limit, gaps, exact):
+        calls.append(gaps)
+        return edge_pairs(words, q, limit, gaps, exact)
+
+    edge_pairs = paircorr._edge_pairs
+    monkeypatch.setattr(paircorr, "_edge_pairs", spy)
+    return calls
+
+
+def top_word(r, q):
+    return (r << 64) // q
+
+
+def top_word_cell(t, q):
+    """The residues mod q whose top word is t mod 2**64."""
+    first = -(-(t * q) >> 64)  # the least r with top word >= t
+    return [r % q for r in range(first, first + 4) if top_word(r, q) == t]
+
+
+@pytest.mark.parametrize("edge", [0, 1])
+def test_wide_count_at_top_word_distance_a_and_b(edge, monkeypatch):
+    # every residue of a top-word cell is paired with every residue of the
+    # cell A (or B) words ahead: some of those pairs are within the limit
+    # and some are not, so only the exact residues settle them
+    q, limit = WIDE_Q, WIDE_LIMIT
+    a, b = band_edges(q, limit)
+    assert b == a + 1
+    gap = (a, b)[edge]
+    res, cross = set(), []
+    for r0 in (5, q // 7, q // 2 + 11, q - limit // 2):  # the last pairs across the wrap
+        t = top_word(r0, q)
+        bases, partners = top_word_cell(t, q), top_word_cell(t + gap, q)
+        res.update(bases + partners)
+        cross += [[x, y] for x in bases for y in partners]
+    res = sorted(res)
+    within = sum(circular_pairs_within(pair, q, limit) for pair in cross)
+    assert 0 < within < len(cross)
+    calls = spy_edge_pairs(monkeypatch)
+    assert count_exact_residues(res, q, [limit]) == [circular_pairs_within(res, q, limit)]
+    assert calls == [range(a, b + 1)]
+
+
+def test_wide_count_skips_an_empty_band(monkeypatch):
+    # residues far apart leave no pair at top-word distance A..B: the sweep
+    # tells so, and no exact residue is looked up
+    q, limit = WIDE_Q, WIDE_LIMIT
+    rng = random.Random(3)
+    res = sorted({rng.randrange(q) for _ in range(40)})
+    calls = spy_edge_pairs(monkeypatch)
+    for lim in (0, limit, 100 * limit):
+        assert count_exact_residues(res, q, [lim]) == [circular_pairs_within(res, q, lim)]
+    assert calls == []
+    # one pair at the edge fills the band
+    res = sorted(res + [(res[0] + limit) % q])
+    assert count_exact_residues(res, q, [limit]) == [circular_pairs_within(res, q, limit)]
+    a, b = band_edges(q, limit)
+    assert calls == [range(a, b + 1)]
+
+
 def test_wide_fixed_point_matches_rational():
     # bits > 64 counts the fixed-point residues by their top words
     rng = random.Random(128)
