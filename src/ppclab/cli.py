@@ -295,6 +295,9 @@ def _canonical_text(name: str, raw: dict[str, str]) -> str:
 
 # -- manifest and CSV plumbing -------------------------------------------------------
 
+# bytes hashed per read of an output file
+_HASH_CHUNK = 1 << 20
+
 
 @dataclass
 class RunContext:
@@ -320,8 +323,11 @@ class RunContext:
         if _NOTES_KEY in self.raw:
             all_notes["user"] = self.raw[_NOTES_KEY]
         for path in self.outputs:
+            digest, size = hashlib.sha256(), 0
             with open(path, "rb") as fh:
-                payload = fh.read()
+                for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
+                    digest.update(chunk)
+                    size += len(chunk)
             manifest = {
                 "tool": "ppclab",
                 "version": __version__,
@@ -331,8 +337,8 @@ class RunContext:
                 "seed": seed,
                 "output": {
                     "path": os.path.basename(path),
-                    "sha256": hashlib.sha256(payload).hexdigest(),
-                    "bytes": len(payload),
+                    "sha256": digest.hexdigest(),
+                    "bytes": size,
                 },
                 "all_outputs": [os.path.basename(p) for p in self.outputs],
                 "notes": all_notes,

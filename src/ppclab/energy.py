@@ -162,6 +162,8 @@ _PAIR_CAP = 1 << 15
 # reduction and scan, or one item of the family counts (a set, a pair of
 # sets, a window test), each a few big-int operations of 1.5-3 us.
 _INT_STEP = 16
+# Python-int gaps held at a time while their gcd is taken
+_GAP_CHUNK = 1024
 
 
 def additive_energy(a: Iterable[int], method: str = "sorted") -> int:
@@ -290,7 +292,7 @@ def _energies(xs: Sequence[int], ns: Sequence[int],
         raise ValueError(f"prefix lengths must lie in 1..{len(xs)}")
     n = grid[-1]
     xs = xs[:n]
-    increments = np.zeros(len(grid), dtype=np.int64)
+    increments = np.zeros(len(grid), dtype=object)
     split = dict(_NO_SPLIT, points=n, point_pairs=n * (n - 1) // 2)
     check_pair_budget(ns, max_pairs)
     if n > 1:
@@ -312,7 +314,8 @@ def _reduced(xs: Sequence[int]) -> tuple[Sequence[int], np.ndarray]:
     ``xs`` itself when g = 1, else the quotients x // g (every x leaves one
     remainder mod g), never translated; and where y[i + 1] = y[i] + 1.  The
     gaps of a span that fits an int64 are found by numpy, others as Python
-    ints.  Raises ``ValueError`` unless ``xs`` is strictly increasing."""
+    ints, ``_GAP_CHUNK`` at a time.  Raises ``ValueError`` unless ``xs`` is
+    strictly increasing."""
     try:
         words = np.array(xs, dtype=np.int64)
     except OverflowError:
@@ -324,11 +327,20 @@ def _reduced(xs: Sequence[int]) -> tuple[Sequence[int], np.ndarray]:
         step = int(np.gcd.reduce(gaps))
         joined = gaps == step
     else:
-        gaps = [v - u for u, v in zip(xs, xs[1:])]
-        if min(gaps) <= 0:
-            raise ValueError("elements must be strictly increasing")
-        step = math.gcd(*gaps)
-        joined = np.fromiter((g == step for g in gaps), dtype=bool, count=len(gaps))
+        # g divides every gap, so a gap equals g only where it is the least
+        # gap of its chunk and g is that least gap
+        step, lows, joined = 0, [], np.empty(len(xs) - 1, dtype=bool)
+        for k in range(0, len(joined), _GAP_CHUNK):
+            gaps = [v - u for u, v in zip(xs[k:k + _GAP_CHUNK], xs[k + 1:k + _GAP_CHUNK + 1])]
+            low = min(gaps)
+            if low <= 0:
+                raise ValueError("elements must be strictly increasing")
+            step = math.gcd(step, *gaps)
+            joined[k:k + len(gaps)] = [g == low for g in gaps]
+            lows.append(low)
+        for c, low in enumerate(lows):
+            if low != step:
+                joined[c * _GAP_CHUNK:(c + 1) * _GAP_CHUNK] = False
     return (xs if step == 1 else [x // step for x in xs]), joined
 
 
@@ -381,8 +393,11 @@ class _Plan:
     def square_sums(self) -> np.ndarray:
         """Each cell's increment of the sum of r(d)^2 over the pairs of the
         reduced ``ys``: the run part's plus the families', or the key
-        pass's."""
-        increments = np.zeros(self.n_cells, dtype=np.int64)
+        pass's, as Python ints (an object array), for a sum can pass 2^63.
+        One key range adds less than n^3 / 2 (each of its differences has at
+        most n - 1 of its at most n^2 / 2 pairs), so it counts in int64 for
+        n < 2^21; a key pass over more would take over 2 * 10^12 pairs."""
+        increments = np.zeros(self.n_cells, dtype=object)
         if self.families is None:
             for part in _key_pass(self.ys, self.cells, self.n_cells):
                 increments += part
@@ -545,7 +560,8 @@ def _run_lengths(sorted_keys: np.ndarray) -> np.ndarray:
 
 
 def _square_counts(k: np.ndarray) -> np.ndarray:
-    """1^2 + 2^2 + ... + k^2, elementwise."""
+    """1^2 + 2^2 + ... + k^2, elementwise, in the dtype of k (k(k + 1)(2k + 1)
+    must fit it)."""
     return k * (k + 1) * (2 * k + 1) // 6
 
 
@@ -584,6 +600,9 @@ class _RunPart:
         self.firsts = firsts
         self.n_cells = n_cells
         self.width = 2 * int(lengths.max())
+        # every term of a piece's square sum lies within 8 n^3 for n elements
+        # (``_breakpoint_square_sum``), and so does every cell's sum
+        self.dtype = np.int64 if 8 * int(lengths.sum()) ** 3 < 1 << 63 else object
         # a run pairs with every block from itself on, and every point below it
         runs = runs.astype(np.int32)
         points = np.flatnonzero(lengths == 1).astype(np.int32)
@@ -635,11 +654,11 @@ class _RunPart:
 
     def square_sums(self) -> np.ndarray:
         """Each cell's increment of the sum of r_R(d)^2 over d > 0."""
-        out = np.zeros(self.n_cells, dtype=np.int64)
+        out = np.zeros(self.n_cells, dtype=self.dtype)
         shared, group, offset = self._groups()
         lone = np.ones(len(self.res), dtype=bool)
         lone[shared] = False
-        lu, lv = self.lu[lone].astype(np.int64), self.lv[lone].astype(np.int64)
+        lu, lv = self.lu[lone].astype(self.dtype), self.lv[lone].astype(self.dtype)
         m = np.minimum(lu, lv)
         lone_sums = np.where(self.ramp[lone], _square_counts(lu - 1),
                              2 * _square_counts(m - 1) + (np.abs(lu - lv) + 1) * m * m)
@@ -648,7 +667,7 @@ class _RunPart:
             return out
         # each prefix's sum over the shared groups
         cells = np.flatnonzero(np.bincount(self.cell[shared], minlength=self.n_cells))
-        totals = np.zeros(len(cells), dtype=np.int64)
+        totals = np.zeros(len(cells), dtype=self.dtype)
         # whole groups at a time, about a quarter of the pair cap in breakpoints
         firsts = np.flatnonzero(np.diff(group, prepend=-1))
         chunk = firsts // max(1, _PAIR_CAP // 16)
@@ -657,7 +676,8 @@ class _RunPart:
             pos, jump, slope, cell = self._breakpoints(shared[lo:hi], group[lo:hi], offset[lo:hi])
             for i, k in enumerate(cells.tolist()):
                 keep = cell <= k
-                totals[i] += _breakpoint_square_sum(pos, jump * keep, slope * keep)
+                totals[i] += _breakpoint_square_sum(pos, jump * keep, slope * keep,
+                                                    self.dtype)
         out[cells] += np.diff(totals, prepend=0)
         return out
 
@@ -679,20 +699,23 @@ class _RunPart:
         return pos.ravel()[order], jump.ravel()[order], slope.ravel()[order], cell[order]
 
 
-def _breakpoint_square_sum(pos, jump, slope) -> int:
+def _breakpoint_square_sum(pos, jump, slope, dtype) -> int:
     """The sum of f(d)^2 over every d, for breakpoints sorted by group and
     position: each group's f is zero left of its first breakpoint, one at
     pos adds ``jump`` to f(pos) and ``slope`` to f(d + 1) - f(d) from there
     on, and f is zero again after a group's last.  Between two breakpoints f
     runs linearly from v with slope s over len points, where v and
-    v + s * (len - 1) lie in [0, n]; so every term below stays within n^3
-    and fits an int64."""
+    v + s * (len - 1) lie in [0, n] for n elements.  Where f is not zero,
+    len <= n and |s| * len <= 2n (a slope counts pieces that are positive
+    at d or d + 1), so every term below stays within 8 n^3; the terms are
+    summed in ``dtype``, which must hold that."""
     s = np.cumsum(slope)[:-1]
     length = np.diff(pos)
     v = np.cumsum(jump)[:-1]
     v[1:] += np.cumsum(s[:-1] * length[:-1])
     # f is zero in gaps and between groups, where the positions restart
     length[(v == 0) & (s == 0)] = 0
+    length, v, s = (a.astype(dtype, copy=False) for a in (length, v, s))
     total = (length * v * v + v * s * length * (length - 1)
              + (s * (length - 1)) * (s * length * (2 * length - 1)) // 6)
     return int(total.sum())
@@ -778,7 +801,7 @@ class _Families:
         for x, (v, lv, v_cell, _) in enumerate(runs):
             for u, lu, u_cell, _ in runs[x:]:
                 self._trapezoid(out, u - v, lu, lv, u == v, max(u_cell, v_cell))
-        return np.array(out, dtype=np.int64)
+        return np.array(out, dtype=object)
 
     def _boxes(self, out: list[int], u: int, length: int, run_cell: int, run_block: int) -> None:
         """Add twice the cross term of one run with every family member: a

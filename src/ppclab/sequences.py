@@ -12,7 +12,8 @@ Elements grow doubly exponentially (the top G element at level j has on the
 order of 2^j bits), so everything is plain Python big integers.  Classic
 comparison families (identity, powers, primes, lacunary) live here too,
 held as int64 words while their members fit one, as does the
-one-integer-per-line file format shared with the CLI.
+one-integer-per-line file format shared with the CLI, whose block files one
+line generator writes and checks.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import sys
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from functools import cached_property
-from itertools import chain, islice
+from itertools import accumulate, chain, islice, repeat
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -395,16 +397,18 @@ def _all_digits():
 
 def write_sequence(path, seq: SequenceLike, meta: dict[str, str] | None = None) -> None:
     """Write the elements one per line after the metadata comments; a
-    write that fails removes the file it started."""
-    elems = as_elements(seq)
-    if meta is None and isinstance(seq, BlockSequence):
-        meta = block_meta(seq)
-    with _all_digits(), open(path, "w", encoding="ascii") as fh:
+    write that fails removes the file it started.  A block sequence's lines
+    come from its construction (``_block_lines``)."""
+    if isinstance(seq, BlockSequence):
+        meta = block_meta(seq) if meta is None else meta
+        lines = _block_lines(seq)
+    else:
+        lines = map(b"%d\n".__mod__, as_elements(seq))
+    header = "".join(f"# {key} = {value}\n" for key, value in (meta or {}).items())
+    with _all_digits(), open(path, "wb") as fh:
         try:
-            for key, value in (meta or {}).items():
-                fh.write(f"# {key} = {value}\n")
-            for x in elems:
-                fh.write(f"{x}\n")
+            fh.write(header.encode("ascii"))
+            fh.writelines(lines)
         except BaseException:
             fh.close()
             os.remove(path)
@@ -473,12 +477,12 @@ def load_sequence(path) -> Union[BlockSequence, list[int]]:
     the block family, else its elements.
 
     A block file must hold exactly the elements its metadata rebuilds.  It
-    is checked line by line against the rebuilt elements as it streams, so
-    no parsed copy is ever held.  A file the stream does not take (any line
-    that differs, a blank line or a comment in the body, a run line not as
-    ``write_sequence`` writes it) goes the long way: ``read_sequence``,
-    rebuild, compare.  So every file loads, or is refused with the same
-    error, exactly as by the long way.
+    is compared as it streams with the lines ``write_sequence`` writes for
+    the rebuilt blocks, so no parsed copy is ever held.  A file the stream
+    does not take (any line that differs, a blank line or a comment in the
+    body, a number not written as ``write_sequence`` writes it) goes the
+    long way: ``read_sequence``, rebuild, compare.  So every file loads, or
+    is refused with the same error, exactly as by the long way.
     """
     seq = _streamed_blocks(path)
     if seq is not None:
@@ -496,17 +500,13 @@ def load_sequence(path) -> Union[BlockSequence, list[int]]:
 
 
 # lines compared per read; larger chunks raise the peak of a load for no speed
-_CHUNK_LINES = 1024
+_CHUNK_LINES = 256
 
 
 def _streamed_blocks(path) -> BlockSequence | None:
     """The blocks rebuilt from the top metadata comments of ``path`` when
-    every later line reads as the rebuilt element in its place; None for any
-    other file, or when reading or rebuilding fails.
-
-    A run line must be the bytes ``write_sequence`` writes.  Any other line
-    is read by ``int()``, which on bytes takes ASCII only and reads a line as
-    ``read_sequence`` reads it."""
+    every later line is the bytes ``write_sequence`` writes in its place;
+    None for any other file, or when reading or rebuilding fails."""
     try:
         fh = open(path, "rb")
     except OSError:
@@ -530,45 +530,45 @@ def _streamed_blocks(path) -> BlockSequence | None:
         except Exception:  # the long way raises it again, or an error before it
             return None
         fh.seek(body)
-        elements, done = seq.elements, 0
-        for lo, hi in _run_spans(seq):
-            if not (
-                _lines_match(fh, iter(elements[done:lo]), lo - done, int)
-                and _lines_match(fh, _run_lines(elements[lo], hi - lo), hi - lo)
-            ):
+        want = _block_lines(seq)
+        while chunk := b"".join(islice(want, _CHUNK_LINES)):
+            if fh.read(len(chunk)) != chunk:
                 return None
-            done = hi
-        rest = len(elements) - done
-        if not _lines_match(fh, iter(elements[done:]), rest, int) or fh.read(1):
-            return None
-    return seq
+        return None if fh.read(1) else seq
 
 
-def _lines_match(fh, want: Iterator, count: int, read=None) -> bool:
-    """Whether the next ``count`` lines of ``fh``, each passed through
-    ``read`` when given, are the next ``count`` values of ``want``."""
-    for k in range(0, count, _CHUNK_LINES):
-        n = min(_CHUNK_LINES, count - k)
-        lines = islice(fh, n)
-        try:
-            if list(map(read, lines) if read else lines) != list(islice(want, n)):
-                return False
-        except ValueError:
-            return False
-    return True
-
-
-def _run_spans(seq: BlockSequence) -> list[tuple[int, int]]:
-    """The index ranges [lo, hi) of the A blocks' storage, without overlap:
-    a run restarted over an earlier one starts where that one ended."""
-    elements, spans, done = seq.elements, [], 0
+def _block_lines(seq: BlockSequence) -> Iterator[bytes]:
+    """The body lines of ``seq``'s block file, one per element, from the
+    construction: the level-1 seed as it is, each A block's new members by
+    ``_run_lines`` and each G block's own members 2C + 2^i by
+    ``_geometric_lines``.  A run head above the interpreter's digit cap
+    needs the caller inside ``_all_digits()``."""
+    elements, done = seq.elements, 0
     for b in seq.blocks:
-        lo, hi = max(b.start_index, done), b.start_index + b.length
-        # strictly increasing elements span hi - 1 - lo only if consecutive
-        if b.kind == "A" and hi > lo and elements[hi - 1] - elements[lo] == hi - 1 - lo:
-            spans.append((lo, hi))
-            done = hi
-    return spans
+        hi = b.start_index + b.length - len(b.shared)  # the end of its storage
+        if hi <= done:
+            continue
+        if b.level == 1:
+            yield from map(b"%d\n".__mod__, elements[done:hi])
+        elif b.kind == "A":  # a restarted run adds its members above the last
+            yield from _run_lines(elements[done], hi - done)
+        else:  # the shared members are the least, 2C + 2^i for i <= len(shared)
+            lo = len(b.shared) + 1
+            yield from _geometric_lines(elements[done] - (1 << lo), lo, b.length)
+        done = hi
+
+
+# every sum of _geometric_lines is exact: a rounding raises and is never written
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+
+
+def _geometric_lines(base: int, lo: int, hi: int) -> Iterator[bytes]:
+    """The lines of base + 2^i for i = lo, ..., hi.  The sums are decimal,
+    and each power is the last one doubled, so a line costs time linear in
+    its digits; base is converted once."""
+    powers = accumulate(repeat(Decimal(2), hi - lo), _EXACT.multiply, initial=Decimal(1 << lo))
+    sums = map(_EXACT.add, repeat(Decimal(base)), powers)
+    return map(str.encode, map("%s\n".__mod__, sums))
 
 
 def _run_lines(first: int, count: int) -> Iterator[bytes]:

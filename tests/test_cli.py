@@ -54,6 +54,18 @@ def test_build_seq_roundtrip(tmp_path, capsys):
     assert (tmp_path / "seq.txt.manifest.json").exists()
 
 
+def test_manifest_hashes_an_output_larger_than_one_chunk(tmp_path, monkeypatch):
+    monkeypatch.setattr(ppclab.cli, "_HASH_CHUNK", 1000)
+    out = tmp_path / "seq.txt"
+    assert run_cli("build-seq", "--f", "ilog(1)", "--beta", "2/3",
+                   "--gamma", "1/3", "--jmax", 9, "--out", out) == 0
+    payload = out.read_bytes()
+    assert len(payload) > 3 * 1000
+    manifest = json.loads((tmp_path / "seq.txt.manifest.json").read_text())
+    assert manifest["output"] == {"path": "seq.txt", "sha256": hashlib.sha256(payload).hexdigest(),
+                                  "bytes": len(payload)}
+
+
 def test_pc_frozen_output(tmp_path, capsys):
     path = tmp_path / "trivial3.txt"
     path.write_text("1\n2\n3\n")
@@ -273,6 +285,13 @@ def test_budget_refusals_exit_4(tmp_path, capsys):
     # the budget, though 5000^2 is not
     assert run_cli("energy", "--family", "identity", "--seq-n", 5000) == 0
     assert f"E = {ap_energy_closed_form(5000)}" in capsys.readouterr().out
+
+
+def test_energy_past_int64_within_a_raised_budget(capsys):
+    # E passes 2^63 from n = 2,097,152 on, and 2n^3 from n = 1,664,512 on
+    assert run_cli("energy", "--family", "identity", "--seq-n", 2000000,
+                   "--max-pairs", 1000000000) == 0
+    assert "E = 5333333333334000000" in capsys.readouterr().out.splitlines()
 
 
 

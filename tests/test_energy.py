@@ -8,6 +8,7 @@ against the most literal quadruple loop on tiny sets; progressions are
 additionally checked against the closed form.
 """
 
+import itertools
 import math
 import random
 
@@ -65,6 +66,23 @@ def test_ap_closed_form_and_translation_dilation_invariance():
         assert additive_energy(range(1, k + 1)) == expected
         assert additive_energy(range(100, 100 + 5 * k, 5)) == expected
     assert ap_energy_closed_form(3) == 19
+
+
+@pytest.mark.parametrize("n", [1_664_512, 2 * 10**6])
+def test_ap_energy_past_int64(n):
+    # from n = 1,664,512 on, 2n^3 passes 2^63: the run's square count must
+    # not wrap
+    assert additive_energy(range(n)) == ap_energy_closed_form(n)
+
+
+def test_two_long_runs_past_int64():
+    # n = 2L elements, above 2^20, so 8 n^3 passes 2^63 and the pieces are
+    # summed as Python ints: two ramps in one group and a lone trapezoid
+    length, gap = 600_000, 10**7
+    a = list(range(length)) + list(range(gap, gap + length))
+    squares = (length - 1) * length * (2 * length - 1) // 6  # 1^2 + ... + (L - 1)^2
+    # the ramps add r = 2(L - d), the trapezoid L - |d - gap|
+    assert additive_energy(a) == (2 * length) ** 2 + 2 * (4 * squares + length**2 + 2 * squares)
 
 
 # -- structural invariants of rep counts --------------------------------------
@@ -171,6 +189,22 @@ def test_reduction_reads_int64_spans_and_python_ints_alike(xs):
         energy._reduced(xs[::-1])
     with pytest.raises(ValueError, match="strictly increasing"):
         energy._reduced(xs + xs[-1:])
+
+
+@pytest.mark.parametrize("gaps", [
+    [6] * 9 + [3] * 5,  # g = 3 in the last chunks only
+    [6] * 6 + [4] * 7,  # g = 2, no gap equal to it, each chunk's least another
+    [2] * 3 + [6] * 10 + [2],  # g = 2 in the first and the last chunk
+])
+def test_reduction_takes_python_int_gaps_a_chunk_at_a_time(gaps, monkeypatch):
+    monkeypatch.setattr(energy, "_GAP_CHUNK", 4)
+    xs = list(itertools.accumulate(gaps, initial=1 << 70))
+    step = math.gcd(*gaps)
+    ys, joined = energy._reduced(xs)
+    assert ys == [x // step for x in xs]
+    assert joined.tolist() == [g == step for g in gaps]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        energy._reduced(xs[:9] + xs[8:])
 
 
 def test_numpy_integers_are_read_as_python_ints():

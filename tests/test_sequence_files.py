@@ -9,7 +9,8 @@ line) must make ``ppclab energy --seq`` exit 3 with a one-line message.
 ``load_sequence``, which checks a block file against its construction as it
 streams, must give what ``read_sequence``, ``rebuild_from_meta`` and a
 comparison give, on written files and on every edit drawn here: an equal
-sequence, or the same exception type and message.
+sequence, or the same exception type and message.  The line generator that
+writes and checks block files must give the decimal lines of the elements.
 """
 
 import contextlib
@@ -27,8 +28,9 @@ from ppclab.growth import GrowthFunction
 from ppclab.sequences import (
     BlockSequence,
     _all_digits,
+    _block_lines,
+    _geometric_lines,
     _run_lines,
-    _run_spans,
     _streamed_blocks,
     block_meta,
     build_blocks,
@@ -176,7 +178,8 @@ def block_params(draw):
 def edit_sites(seq, edit):
     """The element indices ``edit`` can be applied at."""
     n = len(seq.elements)
-    runs = [i for lo, hi in _run_spans(seq) for i in range(lo, hi)]
+    runs = sorted({i for b in seq.blocks if b.kind == "A"
+                   for i in range(b.start_index, b.start_index + b.length)})
     if edit.startswith("run") and runs:
         return runs
     if edit.startswith("geo") and len(runs) < n:
@@ -285,4 +288,53 @@ def test_run_lines_past_the_decimal_digit_cap():
             want = [b"%d\n" % x for x in range(first, first + 120)]
             got = list(_run_lines(first, 120))
         assert got == want
+    assert sys.get_int_max_str_digits() == cap
+
+
+# -- the line generator of block files --------------------------------------------
+
+
+def decimal_lines(seq):
+    return [b"%d\n" % x for x in seq.elements]
+
+
+@pytest.mark.parametrize("beta, gamma", [(2 / 3, 1 / 3), (0.7, 0.45)])
+def test_block_lines_are_the_decimal_elements(beta, gamma):
+    for j_max in range(2, 14):
+        seq = build_blocks(GrowthFunction("ilog", r=1), beta, gamma, j_max)
+        assert list(_block_lines(seq)) == decimal_lines(seq), j_max
+
+
+@settings(max_examples=40)
+@given(params=block_params())
+def test_block_lines_of_drawn_blocks_are_the_decimal_elements(params):
+    seq = build_blocks(*params)
+    assert list(_block_lines(seq)) == decimal_lines(seq)
+
+
+@st.composite
+def geometric_rows(draw):
+    """(base, lo, hi); the base is often 10^k - 2^lo, whose sums carry
+    through a long run of nines."""
+    lo = draw(st.integers(0, 300))
+    hi = draw(st.integers(lo, lo + 80))
+    if draw(st.booleans()):
+        k = draw(st.integers(len(str(1 << lo)), 120))
+        return 10**k - (1 << lo), lo, hi
+    return draw(st.integers(0, 10**120)), lo, hi
+
+
+@given(row=geometric_rows())
+def test_geometric_lines_are_the_decimal_sums(row):
+    base, lo, hi = row
+    want = [b"%d\n" % (base + (1 << i)) for i in range(lo, hi + 1)]
+    assert list(_geometric_lines(base, lo, hi)) == want
+
+
+def test_geometric_lines_past_the_decimal_digit_cap():
+    cap = sys.get_int_max_str_digits()
+    for base, lo in ((10**5000 - 2**7, 7), (2**20000 * 3, 1), (0, 15000)):
+        with _all_digits():
+            want = [b"%d\n" % (base + (1 << i)) for i in range(lo, lo + 40)]
+        assert list(_geometric_lines(base, lo, lo + 39)) == want
     assert sys.get_int_max_str_digits() == cap
