@@ -12,10 +12,10 @@ Three independent routes are implemented and kept separate on purpose:
   evaluator for a whole grid of prefixes, read untranslated.  Where it
   pays, the runs of consecutive elements (over the gcd of the gaps) are split
   off and the remaining points taken as geometric families b + 2^i, i in
-  [lo, hi] (maximal chains of points whose gaps double): every pair with a
-  run member is counted as a trapezoid, one per run and partner block,
-  whose sum of squares is closed-form between breakpoints whose exact
-  positions come from Python-int differences, and the pairs of the
+  [lo, hi] (maximal chains of points whose gaps double): the pairs with a
+  run member are counted per run and per family, as a ramp per run, a
+  trapezoid per two runs and a group of boxes per run and family, whose
+  products are closed forms in exact Python ints, and the pairs of the
   families are counted without being formed, from closed forms and from
   exact solutions of small power-of-two equations, filtered by the weight
   of a non-adjacent form.  Otherwise every pair is keyed by a residue of
@@ -42,7 +42,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -159,8 +159,9 @@ _SPREAD = 0x18722191A02D60DB
 # a single key is counted whole, however many pairs share it.)
 _PAIR_CAP = 1 << 15
 # The key-pass pairs that one Python-int step is charged as: an element's
-# reduction and scan, or one item of the family counts (a set, a pair of
-# sets, a window test), each a few big-int operations of 1.5-3 us.
+# reduction and scan, a pair of run items with a box group, or one item of
+# the family counts (a set, a pair of sets, a window test), each a few
+# big-int operations of 1.5-3 us.
 _INT_STEP = 16
 # Python-int gaps held at a time while their gcd is taken
 _GAP_CHUNK = 1024
@@ -201,7 +202,7 @@ def _energies(xs: Sequence[int], ns: Sequence[int],
     of xs[:max(ns)]; ``xs`` must be strictly increasing.  Also returns what
     the pass split off (``_Plan.counts``).  With ``max_pairs``, a pass whose
     work (``_Plan.work``) exceeds it is refused with ``BudgetError`` before
-    any piece or pair is formed.
+    any product or pair is formed.
 
     E = n^2 + 2 * sum over d > 0 of r(d)^2, where r(d) counts the pairs at
     difference d.  The longest prefix is reduced to y = x / g (g the gcd of
@@ -220,16 +221,23 @@ def _energies(xs: Sequence[int], ns: Sequence[int],
         sum r^2 = sum r_PP^2 + sum r_R^2 + 2 * sum over point pairs
                   p > q of r_R(p - q).
 
-    r_R is a sum of pieces (``_RunPart``): a run against a block above it or
-    a point below it adds a trapezoid, a run against itself the ramp L - d,
-    and sum r_R^2 follows in closed form between their breakpoints.  The
-    point pairs and the cross term are counted by the geometric families
-    below.  The split is taken only when its work, one per piece and
-    ``_INT_STEP`` per item of the family counts (``_Families.items``), is at
-    most half of the n(n - 1)/2 pairs of the key pass; otherwise every
-    element is a point and the pass is the key pass alone.  A family has at
-    most bits(S + 1) members, so the points are not even scanned for
-    families when the fewest families they could form would not pay.
+    r_R is a sum of run items (``_run_items``): the ramp L - d of a run, the
+    trapezoid of two runs, and the group of boxes of a run and a family, one
+    per member.  So sum r_R^2 is the sum of the items' inner products over
+    their pairs and each item with itself (``_run_square_sums``), at the
+    later cell of the two and in Python ints: segment sums for two shapes
+    (ramps or trapezoids) whose supports overlap and for a box and a shape,
+    and for two box groups trapezoids at offsets +-2^l -+ 2^i, counted by
+    windows of 2^l - 2^i (families on one side of their runs) or 2^l + 2^i
+    (on opposite sides, ``_sum_window``).  The point pairs and the cross
+    term are counted by the geometric families below.  The split is taken
+    only when its work (``_split_work``: one per pair of ramps and
+    trapezoids, ``_INT_STEP`` per pair with a box group and per item of the
+    family counts) is at most half of the n(n - 1)/2 pairs of the key pass;
+    otherwise every element is a point and the pass is the key pass alone.
+    A family has at most bits(S + 1) members, so the points are not even
+    scanned for families when the fewest families they could form would not
+    pay.
 
     Geometric families (``_Families``).  The points, in order, are cut into
     families F_t = {b_t + 2^i : i in I_t = [lo_t, hi_t]}: maximal chains of
@@ -252,13 +260,13 @@ def _energies(xs: Sequence[int], ns: Sequence[int],
     N = (count - |I_t||I_t'|) / 2.  A signed sum of four powers of two has a
     non-adjacent form (NAF) of weight at most 4, and the NAF weight of m is
     the popcount of (3m ^ m) >> 1: one big-int operation drops almost every
-    pair of sets.  The cross term becomes window counts: a family below a
-    run (first y u, length L) meets it in the boxes u - b - 2^m + [0, L), a
-    family above it in b + 2^m - u - [0, L), so a set and a family count
-    the (i, l, m) with 2^i - 2^l +- 2^m in one window (``_box_hits``); two
-    runs give a trapezoid, summed segment by segment over the (i, l) with
-    2^i - 2^l in its window (``_pair_window``).  Every term goes to the
-    latest cell among its families and runs.
+    pair of sets.  The cross term becomes window counts over the same run
+    items: a family below a run (first y u, length L) meets it in the boxes
+    u - b - 2^m + [0, L), a family above it in b + 2^m - u - [0, L), so a
+    set and a box group count the (i, l, m) with 2^i - 2^l +- 2^m in one
+    window (``_box_hits``); a ramp or a trapezoid is summed segment by
+    segment over the (i, l) with 2^i - 2^l in its window (``_pair_window``).
+    Every term goes to the latest cell among its families and runs.
 
     The key pass.  Each pair is keyed by the circular distance between its
     two residues SPREAD * y mod M0, a function of the difference alone.  The
@@ -357,9 +365,9 @@ def _blocks(ys: Sequence[int], joined: np.ndarray,
 
 class _Plan:
     """One pass over xs[:max(grid)] (n >= 2): the reduced elements, their
-    cells, their ``_blocks`` record, the runs among the blocks, the pieces
-    and the families when the split is taken, and the work the pass will
-    do, all before any piece or pair is formed (see ``_energies``)."""
+    cells, their ``_blocks`` record, the runs among the blocks, the families
+    and the run items when the split is taken, and the work the pass will
+    do, all before any product or pair is formed (see ``_energies``)."""
 
     def __init__(self, xs: Sequence[int], grid: list[int]) -> None:
         n = len(xs)
@@ -369,30 +377,27 @@ class _Plan:
         self.cells = np.searchsorted(np.array(grid), np.arange(n), side="right").astype(np.int32)
         self.blocks = _blocks(self.ys, joined, self.cells)
         lengths = self.blocks[1]
-        # a run pairs with every block from itself on, and every point below it
         self.runs = np.flatnonzero(lengths >= 2)
-        below = np.searchsorted(np.flatnonzero(lengths == 1), self.runs)
-        self.pieces = int((len(lengths) - self.runs).sum() + below.sum())
         self.families = None
+        self.shapes = self.boxes = []
         # the key pass alone: every pair, and a Python-int step per element
         self.work = min(n * n, _INT_STEP * n + n * (n - 1) // 2)
-        # the split pays when its work is at most half of the key pass's;
-        # the chains of ``_RunPart._groups`` must span less than M0 / 4
+        # the split pays when its work is at most half of the key pass's
         limit = n * (n - 1) // 4
         n_runs = len(self.runs)
         fewest = -(-(len(lengths) - n_runs) // (self.ys[-1] - self.ys[0] + 1).bit_length())
-        if (self.pieces + _INT_STEP * _Families.items(fewest, n_runs) > limit
-                or self.pieces * (2 * int(lengths.max()) + 1) >= _M0 // 4):
+        if _split_work(n_runs, fewest) > limit:
             return
         families = _Families.find(self.blocks)
-        family_work = _INT_STEP * _Families.items(len(families.families), n_runs)
-        if self.pieces + family_work <= limit:
+        split_work = _split_work(n_runs, len(families.families))
+        if split_work <= limit:
             self.families = families
-            self.work = min(n * n, _INT_STEP * n + self.pieces + family_work)
+            self.shapes, self.boxes = _run_items(self.blocks, self.runs, families.families)
+            self.work = min(n * n, _INT_STEP * n + split_work)
 
     def square_sums(self) -> np.ndarray:
         """Each cell's increment of the sum of r(d)^2 over the pairs of the
-        reduced ``ys``: the run part's plus the families', or the key
+        reduced ``ys``: the run items' plus the families', or the key
         pass's, as Python ints (an object array), for a sum can pass 2^63.
         One key range adds less than n^3 / 2 (each of its differences has at
         most n - 1 of its at most n^2 / 2 pairs), so it counts in int64 for
@@ -402,24 +407,144 @@ class _Plan:
             for part in _key_pass(self.ys, self.cells, self.n_cells):
                 increments += part
             return increments
-        if len(self.runs):
-            increments += _RunPart(self.blocks, self.runs, self.n_cells).square_sums()
-        firsts, lengths, cells = self.blocks
-        runs = [(firsts[b], int(lengths[b]), int(cells[b]), b) for b in self.runs.tolist()]
-        increments += self.families.square_sums(self.n_cells, runs)
+        increments += _run_square_sums(self.n_cells, self.shapes, self.boxes)
+        increments += self.families.square_sums(self.n_cells, self.shapes, self.boxes)
         return increments
 
     def counts(self) -> dict[str, int]:
         """What the pass split off: runs, points, the point pairs of the key
-        pass, trapezoid pieces, cross hits ((point pair, piece) incidences)
-        and the families' counts (``_Families.counts``)."""
+        pass, run items (``pieces``), cross hits ((point pair, run pair)
+        incidences) and the families' counts (``_Families.counts``)."""
         n = len(self.ys)
         out = dict(_NO_SPLIT, points=n, point_pairs=n * (n - 1) // 2)
         if self.families is not None:
             n_runs = len(self.runs)
             out.update(self.families.counts(), runs=n_runs, points=len(self.blocks[1]) - n_runs,
-                       pieces=self.pieces, point_pairs=0)
+                       pieces=len(self.shapes) + len(self.boxes), point_pairs=0)
         return out
+
+
+def _split_work(n_runs: int, n_families: int) -> int:
+    """The work of the split for its runs and families: one per pair of
+    shapes (ramps and trapezoids, a shape with itself too), a closed form in
+    small ints formed only where their supports overlap, and ``_INT_STEP``
+    per pair of a box group with a shape or a box group and per item of the
+    family counts, each a few big-int operations."""
+    shapes, boxes = n_runs * (n_runs + 1) // 2, n_runs * n_families
+    box_pairs = boxes * shapes + boxes * (boxes + 1) // 2
+    family_items = _Families.items(n_families, shapes + boxes)
+    return shapes * (shapes + 1) // 2 + _INT_STEP * (box_pairs + family_items)
+
+
+def _run_items(blocks: tuple[list[int], np.ndarray, np.ndarray], runs: np.ndarray,
+               families: list[tuple[int, int, int, int, int]]) -> tuple[list, list]:
+    """The run items of the ``_blocks`` record whose blocks ``runs`` are the
+    runs, beside the ``families`` of its points: the shapes (base, segments,
+    cell), a ramp per run and a trapezoid per two runs, each r_R = value +
+    slope * e on the segments (first e, last e, value, slope) of
+    e = d - base; and the box groups (a, sign, L, (lo, hi), cell), one per
+    run and family, whose boxes are [a + sign 2^i, a + sign 2^i + L)."""
+    firsts, lengths, block_cells = blocks
+    runs = [(firsts[b], int(lengths[b]), int(block_cells[b]), b) for b in runs.tolist()]
+    shapes = []
+    for x, (v, lv, v_cell, _) in enumerate(runs):
+        shapes.append((0, ((1, lv - 1, lv, -1),), v_cell))
+        shapes += [(u - v, _trapezoid_segments(lu, lv), max(u_cell, v_cell))
+                   for u, lu, u_cell, _ in runs[x + 1:]]
+    # a member b + 2^i below the run meets it at u - b - 2^i + [0, L), one
+    # above it at b + 2^i - u - [0, L)
+    boxes = [(u - b, -1, length, (lo, hi), max(cell, f_cell)) if f_block < block
+             else (b - u - length + 1, 1, length, (lo, hi), max(cell, f_cell))
+             for u, length, cell, block in runs for b, lo, hi, f_cell, f_block in families]
+    return shapes, boxes
+
+
+def _trapezoid_segments(lu: int, lv: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The nonempty segments (first e, last e, value at 0, slope) of the
+    trapezoid min(e + Lv, Lu - e, Lu, Lv) on -Lv < e < Lu: the number of
+    pairs (s, t) in [0, Lu) x [0, Lv) with s - t = e."""
+    m = min(lu, lv)
+    segments = [(1 - lv, m - lv, lv, 1), (m - lv + 1, lu - m - 1, m, 0),
+                (max(lu - m, m - lv + 1), lu - 1, lu, -1)]
+    return tuple(s for s in segments if s[0] <= s[1])
+
+
+def _run_square_sums(n_cells: int, shapes: list, boxes: list) -> list[int]:
+    """Each cell's increment of sum r_R^2 over d > 0: the sum over the pairs
+    of run items, each item also paired with itself once, of their inner
+    product (twice for two items), at the later cell of the two."""
+    out = [0] * n_cells
+    # shapes against shapes, where their supports overlap
+    spans = sorted((base + segments[0][0], base + segments[-1][1], base, segments, cell)
+                   for base, segments, cell in shapes)
+    for x, (_, last, base, segments, cell) in enumerate(spans):
+        for y in range(x, len(spans)):
+            first2, _, base2, segments2, cell2 = spans[y]
+            if first2 > last:
+                break
+            shift = base2 - base
+            total = sum(_segment_dot(max(e1, f1 + shift), min(e2, f2 + shift), v, s,
+                                     v2 - s2 * shift, s2)
+                        for e1, e2, v, s in segments for f1, f2, v2, s2 in segments2)
+            out[max(cell, cell2)] += total if y == x else 2 * total
+    for x, (a, sign, length, i_range, cell) in enumerate(boxes):
+        # the boxes that meet a shape's support [first, last]: sign 2^i in
+        # [first - top, last - a], with top = a + L - 1
+        top = a + length - 1
+        for first, last, base, segments, cell2 in spans:
+            exponents = (_exponents(first - top, last - a, i_range) if sign > 0
+                         else _exponents(a - last, top - first, i_range))
+            if exponents:
+                starts = [a + (sign << i) - base for i in exponents]
+                out[max(cell, cell2)] += 2 * sum(
+                    _segment_dot(max(e1, start), min(e2, start + length - 1), v, s, 1, 0)
+                    for start in starts for e1, e2, v, s in segments)
+        # box groups against box groups: boxes i and l of widths L and L' at
+        # offset e = delta + sign' 2^l - sign 2^i meet in the trapezoid
+        # min(e + L', L - e, L, L') on -L' < e < L
+        for y in range(x, len(boxes)):
+            a2, sign2, length2, l_range, cell2 = boxes[y]
+            if _misses(1 - length2, length - 1, a2 - a, sign2):
+                continue
+            # e = delta + sign' v for v = 2^l - 2^i on one side, 2^l + 2^i across
+            window = (partial(_pair_window, l_range, i_range, positive=False) if sign == sign2
+                      else partial(_sum_window, l_range, i_range))
+            total = _window_sum(_trapezoid_segments(length, length2), a2 - a, sign2, window)[0]
+            out[max(cell, cell2)] += total if y == x else 2 * total
+    return out
+
+
+def _misses(first: int, last: int, delta: int, sign: int) -> bool:
+    """Whether no v = +-2^x +- 2^y puts e = delta + sign v in [first, last]
+    by the weight test: with 2^k at least the width, the terms of such a v
+    from 2^k on sum to 2^k H with (start of the window of v) >> k within 2
+    of H, so its NAF weight is at most 3 when some v lies in it."""
+    start = first - delta if sign > 0 else delta - last
+    return _naf_weight(start >> (last - first).bit_length()) > 3
+
+
+def _window_sum(segments, delta: int, sign: int, window) -> tuple[int, int]:
+    """The sum over the values v that ``window(lo, hi)`` counts (it returns
+    their count and sum within [lo, hi]) of the function of the
+    ``segments`` (first e, last e, value at 0, slope) at e = delta + sign v,
+    and the number of those v on a segment."""
+    total = hits = 0
+    for e1, e2, value, slope in segments:
+        count, value_sum = window(e1 - delta, e2 - delta) if sign > 0 else window(delta - e2,
+                                                                                delta - e1)
+        total += count * (value + slope * delta) + sign * slope * value_sum
+        hits += count
+    return total, hits
+
+
+def _segment_dot(lo: int, hi: int, v1: int, s1: int, v2: int, s2: int) -> int:
+    """The sum over lo <= e <= hi of (v1 + s1 e)(v2 + s2 e), 0 when hi < lo."""
+    if hi < lo:
+        return 0
+    count = hi - lo + 1
+    e_sum = (lo + hi) * count // 2
+    e2_sum = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6
+    return v1 * v2 * count + (v1 * s2 + v2 * s1) * e_sum + s1 * s2 * e2_sum
 
 
 def _key_pass(ys: list[int], cells: np.ndarray, n_cells: int):
@@ -559,168 +684,6 @@ def _run_lengths(sorted_keys: np.ndarray) -> np.ndarray:
     return np.diff(np.concatenate(([0], edges, [len(sorted_keys)])))
 
 
-def _square_counts(k: np.ndarray) -> np.ndarray:
-    """1^2 + 2^2 + ... + k^2, elementwise, in the dtype of k (k(k + 1)(2k + 1)
-    must fit it)."""
-    return k * (k + 1) * (2 * k + 1) // 6
-
-
-class _RunPart:
-    """The pairs with a run member, as pieces of r_R (see ``_energies``).
-
-    The blocks are the runs and the points, in increasing order.  A piece
-    pairs a run with a block: with every block above it (two runs pair
-    once), with every point below it, and with itself.  With U the upper
-    block (first member u, length Lu) and V the lower (v, Lv), the
-    differences (u + s) - (v + t) count the trapezoid
-    min(e + Lv, Lu - e, Lu, Lv) at e = d - (u - v) in (-Lv, Lu); a run
-    against itself (u = v) counts the ramp L - d at 1 <= d < L.  A piece's
-    cell is the later of its two blocks' cells.
-
-    Two pieces overlap only when their bases u - v are less than
-    W = 2 * (the longest block) apart.  Sorted by base mod M0, with the
-    circle cut at its widest gap, such pieces fall into one chain of gaps
-    <= W: their residues differ by their bases' difference, and the chains
-    span less than M0 / 4 (the split is refused otherwise).  A chain of one
-    piece is a group by itself.  The members of a longer chain are sorted by
-    their Python-int bases and cut into groups at exact gaps above W, each
-    with its members' offsets from its least base.  So every two
-    overlapping pieces share a group and the offsets in a group are exact
-    small integers: a group's sum of r_R^2 is a sum of squares of linear
-    stretches between its pieces' breakpoints, and a lone piece's is
-    2 * (1^2 + ... + (m - 1)^2) + (|Lu - Lv| + 1) * m^2 with m = min(Lu, Lv),
-    or 1^2 + ... + (L - 1)^2 for a ramp.
-    """
-
-    def __init__(self, blocks: tuple[list[int], np.ndarray, np.ndarray], runs: np.ndarray,
-                 n_cells: int) -> None:
-        """The pieces of the ``_blocks`` record whose blocks ``runs`` (at
-        least one) are the runs."""
-        firsts, lengths, block_cells = blocks
-        self.firsts = firsts
-        self.n_cells = n_cells
-        self.width = 2 * int(lengths.max())
-        # every term of a piece's square sum lies within 8 n^3 for n elements
-        # (``_breakpoint_square_sum``), and so does every cell's sum
-        self.dtype = np.int64 if 8 * int(lengths.sum()) ** 3 < 1 << 63 else object
-        # a run pairs with every block from itself on, and every point below it
-        runs = runs.astype(np.int32)
-        points = np.flatnonzero(lengths == 1).astype(np.int32)
-        below = np.searchsorted(points, runs)
-        upper = np.concatenate([np.arange(r, len(lengths), dtype=np.int32) for r in runs.tolist()]
-                               + [np.repeat(runs, below)])
-        lower = np.concatenate([np.repeat(runs, len(lengths) - runs)]
-                               + [points[:b] for b in below.tolist()])
-        block_res = np.array([f % _M0 for f in firsts], dtype=np.int64)
-        lengths = lengths.astype(np.int32)
-        self.upper, self.lower = upper, lower
-        self.lu, self.lv = lengths[upper], lengths[lower]
-        self.ramp = upper == lower
-        self.cell = np.maximum(block_cells[upper], block_cells[lower])
-        self.lo = np.where(self.ramp, 1, 1 - self.lv).astype(np.int32)  # support of d - base
-        self.hi = self.lu - 1
-        self.res = (block_res[upper] - block_res[lower]) % _M0  # base mod M0
-
-    def _groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pieces of the chains longer than one, group by group, with
-        each one's group and its offset from its group's least base."""
-        count = len(self.res)
-        order = np.argsort(self.res, kind="stable")
-        r = self.res[order]
-        # cut the circle after its widest gap; residue + M0 fits an int64
-        cut = int(np.argmax(np.diff(r, append=r[0] + _M0))) + 1
-        order, r = np.roll(order, -cut), np.roll(r, -cut)
-        r[count - cut:] += _M0
-        chain = np.concatenate(([0], np.cumsum(np.diff(r) > self.width)))
-        in_long = np.bincount(chain)[chain] > 1
-        long, chain = order[in_long], chain[in_long]
-        tops, bottoms = self.upper[long], self.lower[long]
-        edges = np.flatnonzero(np.diff(chain, prepend=-1)).tolist() + [len(long)]
-        shared = np.empty(len(long), dtype=np.int64)
-        group = np.empty(len(long), dtype=np.int64)
-        offset = np.empty(len(long), dtype=np.int64)
-        firsts, i, g = self.firsts, 0, -1
-        for a, b in zip(edges, edges[1:]):
-            # one chain, by Python-int base
-            members = sorted((firsts[t] - firsts[u], k) for t, u, k in zip(
-                tops[a:b].tolist(), bottoms[a:b].tolist(), long[a:b].tolist()))
-            last = None
-            for base, k in members:
-                if last is None or base - last > self.width:
-                    g, first = g + 1, base
-                shared[i], group[i], offset[i] = k, g, base - first
-                i, last = i + 1, base
-        return shared, group, offset
-
-    def square_sums(self) -> np.ndarray:
-        """Each cell's increment of the sum of r_R(d)^2 over d > 0."""
-        out = np.zeros(self.n_cells, dtype=self.dtype)
-        shared, group, offset = self._groups()
-        lone = np.ones(len(self.res), dtype=bool)
-        lone[shared] = False
-        lu, lv = self.lu[lone].astype(self.dtype), self.lv[lone].astype(self.dtype)
-        m = np.minimum(lu, lv)
-        lone_sums = np.where(self.ramp[lone], _square_counts(lu - 1),
-                             2 * _square_counts(m - 1) + (np.abs(lu - lv) + 1) * m * m)
-        np.add.at(out, self.cell[lone], lone_sums)
-        if not len(shared):
-            return out
-        # each prefix's sum over the shared groups
-        cells = np.flatnonzero(np.bincount(self.cell[shared], minlength=self.n_cells))
-        totals = np.zeros(len(cells), dtype=self.dtype)
-        # whole groups at a time, about a quarter of the pair cap in breakpoints
-        firsts = np.flatnonzero(np.diff(group, prepend=-1))
-        chunk = firsts // max(1, _PAIR_CAP // 16)
-        cuts = firsts[np.flatnonzero(np.diff(chunk, prepend=-1))]
-        for lo, hi in zip(cuts.tolist(), cuts[1:].tolist() + [len(shared)]):
-            pos, jump, slope, cell = self._breakpoints(shared[lo:hi], group[lo:hi], offset[lo:hi])
-            for i, k in enumerate(cells.tolist()):
-                keep = cell <= k
-                totals[i] += _breakpoint_square_sum(pos, jump * keep, slope * keep,
-                                                    self.dtype)
-        out[cells] += np.diff(totals, prepend=0)
-        return out
-
-    def _breakpoints(self, pieces, group, offset):
-        """The four breakpoints of each piece (position, value jump, slope
-        change, cell), sorted by group and position."""
-        lu, lv, lo, hi = (a[pieces].astype(np.int64) for a in (self.lu, self.lv, self.lo, self.hi))
-        m = np.minimum(lu, lv)
-        ramp = self.ramp[pieces][:, None]
-        # a ramp jumps to L - 1 at 1 and falls to 0 at L; a trapezoid rises
-        # from lo - 1, levels at m, falls from hi + 1 - m and ends at hi + 1
-        pos = np.where(ramp, np.stack([np.ones_like(lu), lu, lu, lu], axis=1),
-                       np.stack([lo - 1, lo - 1 + m, hi + 1 - m, hi + 1], axis=1))
-        pos += offset[:, None]
-        jump = np.where(ramp, np.stack([lu - 1] + [np.zeros_like(lu)] * 3, axis=1), 0)
-        slope = np.where(ramp, np.array([-1, 1, 0, 0]), np.array([1, -1, -1, 1]))
-        order = np.lexsort((pos.ravel(), np.repeat(group, 4)))
-        cell = np.repeat(self.cell[pieces], 4)
-        return pos.ravel()[order], jump.ravel()[order], slope.ravel()[order], cell[order]
-
-
-def _breakpoint_square_sum(pos, jump, slope, dtype) -> int:
-    """The sum of f(d)^2 over every d, for breakpoints sorted by group and
-    position: each group's f is zero left of its first breakpoint, one at
-    pos adds ``jump`` to f(pos) and ``slope`` to f(d + 1) - f(d) from there
-    on, and f is zero again after a group's last.  Between two breakpoints f
-    runs linearly from v with slope s over len points, where v and
-    v + s * (len - 1) lie in [0, n] for n elements.  Where f is not zero,
-    len <= n and |s| * len <= 2n (a slope counts pieces that are positive
-    at d or d + 1), so every term below stays within 8 n^3; the terms are
-    summed in ``dtype``, which must hold that."""
-    s = np.cumsum(slope)[:-1]
-    length = np.diff(pos)
-    v = np.cumsum(jump)[:-1]
-    v[1:] += np.cumsum(s[:-1] * length[:-1])
-    # f is zero in gaps and between groups, where the positions restart
-    length[(v == 0) & (s == 0)] = 0
-    length, v, s = (a.astype(dtype, copy=False) for a in (length, v, s))
-    total = (length * v * v + v * s * length * (length - 1)
-             + (s * (length - 1)) * (s * length * (2 * length - 1)) // 6)
-    return int(total.sum())
-
-
 class _Families:
     """The points as geometric families b + 2^i, i in [lo, hi], in order,
     each given as (b, lo, hi, cell, block index) (see ``_energies``)."""
@@ -761,12 +724,11 @@ class _Families:
         return cls(families)
 
     @staticmethod
-    def items(f: int, n_runs: int) -> int:
+    def items(f: int, n_items: int) -> int:
         """The work of the family counts for f families: the sets, their
-        pairs, and a window test per set and run against a family or a run;
-        it grows with f."""
+        pairs, and a window test per set and run item; it grows with f."""
         s = f * (f + 1) // 2
-        return s + s * (s - 1) // 2 + s * n_runs * f + s * n_runs * (n_runs + 1) // 2
+        return s + s * (s - 1) // 2 + s * n_items
 
     def counts(self) -> dict[str, int]:
         members = [hi - lo + 1 for _, lo, hi, _, _ in self.families if hi > lo]
@@ -775,9 +737,9 @@ class _Families:
                 "set_pairs": s * (s - 1) // 2, "set_pairs_kept": self.kept,
                 "cross_hits": self.hits}
 
-    def square_sums(self, n_cells: int, runs: list[tuple[int, int, int, int]]) -> np.ndarray:
+    def square_sums(self, n_cells: int, shapes: list, boxes: list) -> np.ndarray:
         """Each cell's increment of sum r_PP^2 plus twice the cross term with
-        the ``runs``, each given as (first y, length, cell, block index)."""
+        the run items (``_run_items``)."""
         out = [0] * n_cells
         sets = self.sets
         for delta, (lo1, hi1), (lo2, hi2), diagonal, c in sets:
@@ -796,54 +758,35 @@ class _Families:
                 if diagonal1 and diagonal2:
                     count = (count - (i1[1] - i1[0] + 1) * (i2[1] - i2[0] + 1)) // 2
                 out[max(c1, c2)] += 2 * count
-        for u, length, run_cell, run_block in runs:
-            self._boxes(out, u, length, run_cell, run_block)
-        for x, (v, lv, v_cell, _) in enumerate(runs):
-            for u, lu, u_cell, _ in runs[x:]:
-                self._trapezoid(out, u - v, lu, lv, u == v, max(u_cell, v_cell))
+        for box in boxes:
+            self._boxes(out, *box)
+        for shape in shapes:
+            self._trapezoid(out, *shape)
         return np.array(out, dtype=object)
 
-    def _boxes(self, out: list[int], u: int, length: int, run_cell: int, run_block: int) -> None:
-        """Add twice the cross term of one run with every family member: a
-        member p below the run meets it at p + d in [u, u + L), one above it
-        at p - d in [u, u + L)."""
-        for b, f_lo, f_hi, f_cell, f_block in self.families:
-            sign = 1 if f_block < run_block else -1
-            offset = u - b if sign > 0 else b - u - length + 1
-            for delta, i_range, l_range, diagonal, c in self.sets:
-                lo = offset - delta
-                count = _box_hits(i_range, l_range, (f_lo, f_hi), sign, lo, lo + length - 1,
-                                  diagonal)
-                if count:
-                    self.hits += count
-                    out[max(c, run_cell, f_cell)] += 2 * count
-
-    def _trapezoid(self, out: list[int], base: int, lu: int, lv: int, ramp: bool,
-                   cell: int) -> None:
-        """Add twice the cross term with one run piece: the ramp L - e at
-        1 <= e < L, or the trapezoid min(e + Lv, Lu - e, Lu, Lv), at
-        e = d - base, as segments (first e, last e, value at 0, slope)."""
-        if ramp:
-            segments = [(1, lu - 1, lu, -1)]
-        else:
-            m = min(lu, lv)
-            segments = [(1 - lv, m - lv, lv, 1), (m - lv + 1, lu - m - 1, m, 0),
-                        (max(lu - m, m - lv + 1), lu - 1, lu, -1)]
-        first, last = segments[0][0], lu - 1
-        shift = (last - first).bit_length()
+    def _boxes(self, out: list[int], a: int, sign: int, length: int, m_range: tuple[int, int],
+               cell: int) -> None:
+        """Add twice the cross term with one box group: a point difference
+        in a box [a + sign 2^m, a + sign 2^m + L) meets the pair of the
+        family member at m with the run member it is from."""
         for delta, i_range, l_range, diagonal, c in self.sets:
-            # 2^i - 2^l in a window narrower than 2^shift: the terms from
-            # 2^shift on sum to 2^shift H, H within 2 above h, so h has NAF
-            # weight at most 3
-            if _naf_weight((first + base - delta) >> shift) > 3:
+            lo = a - delta
+            count = _box_hits(i_range, l_range, m_range, -sign, lo, lo + length - 1, diagonal)
+            if count:
+                self.hits += count
+                out[max(c, cell)] += 2 * count
+
+    def _trapezoid(self, out: list[int], base: int, segments: list, cell: int) -> None:
+        """Add twice the cross term with one shape, a ramp or a trapezoid
+        given as segments (first e, last e, value at 0, slope) at
+        e = d - base."""
+        first, last = segments[0][0], segments[-1][1]
+        for delta, i_range, l_range, diagonal, c in self.sets:
+            if _misses(first, last, delta - base, 1):
                 continue
-            total = 0
-            for e1, e2, value, slope in segments:
-                if e1 <= e2:
-                    count, value_sum = _pair_window(i_range, l_range, e1 + base - delta,
-                                                    e2 + base - delta, diagonal)
-                    total += value * count + slope * (value_sum + count * (delta - base))
-                    self.hits += count
+            total, hits = _window_sum(segments, delta - base, 1,
+                                      partial(_pair_window, i_range, l_range, positive=diagonal))
+            self.hits += hits
             out[max(c, cell)] += 2 * total
 
 
@@ -973,6 +916,30 @@ def _pair_window(x_range, y_range, lo: int, hi: int, positive: bool) -> tuple[in
     return count, total
 
 
+def _sum_window(x_range, y_range, lo: int, hi: int) -> tuple[int, int]:
+    """The count and sum of v = 2^x + 2^y over the ranges with lo <= v <= hi:
+    the larger power 2^t lies in [v / 2, v), so bits(lo) - 2 <= t < bits(hi),
+    and the other in [lo - 2^t, hi - 2^t]."""
+    count = total = 0
+    # x the larger (or equal) exponent, then y the strictly larger one
+    for big, small, strict in ((x_range, y_range, 0), (y_range, x_range, 1)):
+        for t in range(max(big[0], max(lo, 2).bit_length() - 2),
+                       min(big[1], hi.bit_length() - 1) + 1):
+            top = 1 << t
+            r = _exponents(lo - top, hi - top, (small[0], min(small[1], t - strict)))
+            count += len(r)
+            total += len(r) * top + (1 << r.stop) - (1 << r.start) if r else 0
+    return count, total
+
+
+def _exponents(lo: int, hi: int, e_range) -> range:
+    """The e in ``e_range`` (first, last) with lo <= 2^e <= hi."""
+    if hi < 1:
+        return range(0)
+    return range(max(e_range[0], (max(lo, 1) - 1).bit_length()),
+                 min(e_range[1], hi.bit_length() - 1) + 1)
+
+
 def _box_hits(i_range, l_range, m_range, sign: int, lo: int, hi: int, positive: bool) -> int:
     """#{(i, l, m) in the ranges : lo <= 2^i - 2^l + sign 2^m <= hi}, with
     i > l only when ``positive``.
@@ -1100,8 +1067,8 @@ class ScalingResult:
     rows: tuple[EnergyRow, ...]
     beta: float
     gamma: float
-    # what the energy pass split off: runs, points, point pairs, trapezoid
-    # pieces, cross hits and the geometric families (see ``_Plan.counts``)
+    # what the energy pass split off: runs, points, point pairs, run items
+    # (``pieces``), cross hits and the geometric families (``_Plan.counts``)
     split: Mapping[str, int] = field(default_factory=dict)
 
     def eligible(self) -> list[EnergyRow]:

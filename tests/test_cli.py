@@ -77,13 +77,13 @@ def test_pc_frozen_output(tmp_path, capsys):
 def test_scaling_csv_matches_library(tmp_path, capsys):
     seq_file, csv = tmp_path / "seq.txt", tmp_path / "scale.csv"
     run_cli("build-seq", "--f", "ilog(1)", "--beta", "2/3", "--gamma", "1/3",
-            "--jmax", 9, "--out", seq_file)
-    assert run_cli("scaling", "--seq", seq_file, "--levels", "6..9",
+            "--jmax", 10, "--out", seq_file)
+    assert run_cli("scaling", "--seq", seq_file, "--levels", "7..10",
                    "--csv", csv) == 0
     lines = csv.read_text().splitlines()
     assert lines[0] == "j,N,energy,f(N),normalized"
-    seq = build_blocks(ILOG1, 2 / 3, 1 / 3, 9)
-    expect = energy_scaling(seq, [6, 7, 8, 9])
+    seq = build_blocks(ILOG1, 2 / 3, 1 / 3, 10)
+    expect = energy_scaling(seq, [7, 8, 9, 10])
     assert len(lines) == 1 + 4
     for line, row in zip(lines[1:], expect.rows):
         j, n, energy, f_n, normalized = line.split(",")
@@ -93,7 +93,7 @@ def test_scaling_csv_matches_library(tmp_path, capsys):
     # what the energy pass split off goes to the manifest, not the CSV
     split = json.loads((tmp_path / "scale.csv.manifest.json").read_text())["notes"]["energy_split"]
     assert split == dict(expect.split)
-    assert split["runs"] > 0 and split["pieces"] > 0 and split["points"] < 270
+    assert split["runs"] > 0 and split["pieces"] > 0 and split["points"] < 1108 // 2
 
 
 def test_scaling_default_levels_skip_empty_runs(tmp_path):
@@ -354,6 +354,18 @@ def test_budget_refusals_return_within_a_second(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0
         asked = int(re.search(r"about (\d+) pair operations", capsys.readouterr().err)[1])
         assert asked == 16 * 10**9 if elements is None else asked > elements
+    # the split's own charge on the T_12 blocks, 12 runs and 10 families:
+    # 16 per element, one per pair of the 78 shapes, and 16 per pair with one
+    # of the 120 box groups and per family item,
+    # 16 * 4167 + 78 * 79 / 2 + 16 * (120 * 78 + 120 * 121 / 2 + 12430)
+    t12 = ["scaling", "--family", "blocks", "--f", "ilog(1)", "--beta", "2/3", "--gamma", "1/3",
+           "--jmax", 12, "--csv", tmp_path / "t12.csv", "--max-pairs"]
+    start = time.perf_counter()
+    assert run_cli(*t12, 534552) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "about 534553 pair operations" in capsys.readouterr().err
+    assert not (tmp_path / "t12.csv").exists()
+    assert run_cli(*t12, 534553) == 0
     # the mc, build-seq and bohr refusals of test_budget_refusals_exit_4
     others = [(["mc", "--family", "power", "--seq-n", 500, "--trials", 10, "--schedule", 500,
                 "--seed", 1, "--max-points", 100, "--csv", tmp_path / "x.csv"],

@@ -76,8 +76,8 @@ def test_ap_energy_past_int64(n):
 
 
 def test_two_long_runs_past_int64():
-    # n = 2L elements, above 2^20, so 8 n^3 passes 2^63 and the pieces are
-    # summed as Python ints: two ramps in one group and a lone trapezoid
+    # n = 2L elements, above 2^20, so the square sums pass 2^63 and must be
+    # Python ints: two ramps on one support and a trapezoid that meets neither
     length, gap = 600_000, 10**7
     a = list(range(length)) + list(range(gap, gap + length))
     squares = (length - 1) * length * (2 * length - 1) // 6  # 1^2 + ... + (L - 1)^2
@@ -314,7 +314,7 @@ def test_pair_cap_splits_key_ranges(monkeypatch):
 
 
 def test_dense_set_gives_up_the_run_split():
-    # short runs whose pieces overlap everywhere, and hundreds of points
+    # short runs whose trapezoids overlap everywhere, and hundreds of points
     # between them: their families cannot pay, so the pass is the key pass
     # alone
     a = sorted(random.Random(5).sample(range(1300), 1000))

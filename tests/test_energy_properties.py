@@ -6,10 +6,11 @@ modulo a prime M0 below 2^62, tags it with the prefix cell of its larger
 index, certifies runs of equal keys by the segments their elements lie in,
 and compares the rest by their exact differences once the span reaches
 M0 / 2.  Where it pays, runs of consecutive reduced elements are split off
-as trapezoids and the other elements counted as geometric families.  The
-sets below cover one segment (small spans, negative elements), elements
-above 2^62 and above 2^700, arithmetic progressions, block-like sets with
-long runs, runs with points beside and between them, sets built to share
+as run items (ramps, trapezoids and box groups) and the other elements
+counted as geometric families.  The sets below cover one segment (small
+spans, negative elements), elements above 2^62 and above 2^700, arithmetic
+progressions, block-like sets with long runs, runs with points beside and
+between them, runs beside families on both sides, sets built to share
 primary residues, and sets spanning several segments with elements next
 to a segment's end.  Each is checked against the representation counts,
 against brute force up to 64 elements, against the bounds
@@ -247,10 +248,10 @@ def test_translation_keeps_the_whole_result(kind, data):
 def test_translation_keeps_the_route_on_blocks():
     # a run-bearing grid whose points form families; a decision read from
     # the top element alone would send a shifted copy to the key pass
-    seq = build_blocks(GrowthFunction("ilog", r=1), 0.7, 0.45, 9)
-    ns = [seq.checkpoint(j) for j in range(2, 10)]
+    seq = build_blocks(GrowthFunction("ilog", r=1), 0.7, 0.45, 10)
+    ns = [seq.checkpoint(j) for j in range(2, 11)]
     want = energy._energies(seq.elements, ns)
-    assert want[1]["runs"] > 0 and want[1]["families"] == 5
+    assert want[1]["runs"] > 0 and want[1]["families"] == 6
     for c in shifts(seq.elements):
         assert energy._energies([x + c for x in seq.elements], ns) == want
 
@@ -344,6 +345,26 @@ def test_window_counts_match_brute_force(data):
     assert energy._pair_window(i, l, lo, hi, positive) == (len(inside), sum(inside))
 
 
+@given(data=st.data())
+def test_sum_window_matches_brute_force(data):
+    x, y = (data.draw(exponents(lo_max=30, width=14)) for _ in range(2))
+    values = [(1 << u) + (1 << v) for u in spread(x) for v in spread(y)]
+    lo = data.draw(targets(values) | st.integers(0, 40).map(lambda k: 1 << k)) - data.draw(
+        st.integers(0, 64))
+    hi = lo + data.draw(st.integers(0, 5000))
+    inside = [v for v in values if lo <= v <= hi]
+    assert energy._sum_window(x, y, lo, hi) == (len(inside), sum(inside))
+
+
+@given(lo=st.integers(-300, 300), width=st.integers(-2, 300),
+       coefficients=st.lists(st.integers(-300, 300) | st.integers(-(1 << 70), 1 << 70),
+                             min_size=4, max_size=4))
+def test_segment_dot_matches_brute_force(lo, width, coefficients):
+    v1, s1, v2, s2 = coefficients
+    want = sum((v1 + s1 * e) * (v2 + s2 * e) for e in range(lo, lo + width + 1))
+    assert energy._segment_dot(lo, lo + width, v1, s1, v2, s2) == want
+
+
 @st.composite
 def ordered_families(draw):
     """Families b + 2^i, i in [lo, hi], each above the last: every base is
@@ -365,7 +386,7 @@ def test_family_square_sum_is_the_sum_over_positive_differences(families):
     reps = rep_counts(points).counts
     want = sum(r * r for d, r in reps.items() if d > 0)
     part = energy._Families([(b, lo, hi, 0, k) for k, (b, lo, hi) in enumerate(families)])
-    assert part.square_sums(1, []).tolist() == [want]
+    assert part.square_sums(1, [], []).tolist() == [want]
 
 
 @st.composite
@@ -397,3 +418,40 @@ def test_families_match_per_prefix_oracles(kind, data):
     if split["runs"] and split["points"] > 1:
         assert split["sets"] > 0 and split["point_pairs"] == 0
 
+
+
+@st.composite
+def runs_beside_families(draw):
+    """Runs and doubling chains c + 2^i, i in [lo, hi], side by side in a
+    drawn order: families above and below runs, runs often longer than some
+    gaps of a family, runs at one repeated spacing (so two run pairs share a
+    trapezoid base) or close together (so their trapezoids overlap), and a
+    few stray points anywhere; the whole set shifted, often past 2^64."""
+    out, cursor = set(), 0
+    spacing = draw(st.integers(1, 40))
+    for _ in range(draw(st.integers(2, 6))):
+        if draw(st.booleans()):
+            length = draw(st.integers(2, 40))
+            out.update(range(cursor, cursor + length))
+            cursor += length + draw(st.just(spacing) | st.integers(1, 80))
+        else:
+            lo = draw(st.integers(0, 4))
+            hi = lo + draw(st.integers(1, 6))
+            out.update(cursor + (1 << i) for i in range(lo, hi + 1))
+            cursor += (1 << hi) + draw(st.integers(1, 80))
+    out.update(draw(st.lists(st.integers(-300, cursor + 300), max_size=4)))
+    shift = draw(st.integers(-300, 300) | st.integers(-(1 << 200), 1 << 200))
+    return sorted(x + shift for x in out)
+
+
+@given(data=st.data())
+def test_run_items_match_per_prefix_oracles(data):
+    # with the split charged as free it is always taken: every product of
+    # two run items (shapes, box groups on either side of a family) counts
+    a = data.draw(runs_beside_families())
+    ns = data.draw(grids(len(a)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "_split_work", lambda n_runs, n_families: 0)
+        got, split = energy._energies(a, ns)
+    assert got == [oracle(a[:n]) for n in ns]
+    assert split["point_pairs"] == 0
