@@ -13,6 +13,7 @@ refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -58,7 +59,6 @@ from .paircorr import (
 )
 from .sequences import (
     BlockSequence,
-    as_elements,
     build_blocks,
     classic,
     load_sequence,
@@ -402,7 +402,7 @@ def _run_build_seq(p: dict[str, object], ctx: RunContext) -> None:
     out = p["out.seq"]
     write_sequence(out, seq)
     ctx.outputs.append(out)
-    print(f"wrote {out}: {len(as_elements(seq))} elements")
+    print(f"wrote {out}: {len(seq)} elements")
     ctx.finish()
 
 
@@ -416,7 +416,7 @@ def _run_energy(p: dict[str, object], ctx: RunContext) -> None:
         check_pair_budget([n], p["energy.max_pairs"])
     seq = _load_sequence(p)
     if n is None:
-        n = len(as_elements(seq))
+        n = len(seq)
     elements = truncate(seq, n)
     if not elements:
         raise ValueError("need a nonempty set of integers")
@@ -678,7 +678,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: a parse
+    keeps no state in it."""
     parser = _Parser(
         prog="ppclab",
         description="pair correlations of low-additive-energy sequences",

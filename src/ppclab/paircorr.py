@@ -27,12 +27,18 @@ window parameters s for one (sequence, alpha), checks the whole grid before
 any work, computes the residues of the longest prefix once, sorts each
 prefix once and counts every s (every limit of every cell) from that sorted
 array.  The residues come from one step, ``_residues``, as the words the
-count takes; the count does not look behind them.  ``pair_correlation`` is
-one cell of the evaluator, ``divergence_probe`` one call over its levels,
-and ``monte_carlo_ppc`` one call per trial on the uint64 words (x mod
-2**64) it made of the elements once, which are all a residue under its
-dilations k/2**64 reads; a classic family's int64 members are those words
-already, viewed without a copy.
+count takes; the count does not look behind them.  That step reads each
+member only through x mod q (``_reduced``), and the fixed-point width
+check only the widest member.  A plain list gives x mod q element by
+element; a block sequence gives it per block from its construction and
+never forms its element list: a run C + [0, L) as (C mod q + k) mod q, a
+geometric block 2C + 2^i as (2C mod q + 2^i mod q) mod q with the powers
+found by doubling, in numpy uint64 for q <= 2**32 and in small Python ints
+above.  ``pair_correlation`` is one cell of the evaluator,
+``divergence_probe`` one call over its levels, and ``monte_carlo_ppc`` one
+call per trial on the uint64 words (x mod 2**64) it made of the members
+once, which are all a residue under its dilations k/2**64 reads; a classic
+family's int64 members are those words already, viewed without a copy.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from itertools import accumulate, islice, repeat
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -148,16 +155,27 @@ def frac_mult(alpha: Alpha, a: int) -> Fraction:
     2**-guard, enforced via the width precondition.
     """
     a = int(a)
-    p, q = _dilation(alpha, [a])
+    p, q = _dilation(alpha, [a], 1)
     return Fraction(p * (a % q) % q, q)
 
 
-def _dilation(alpha: Alpha, elements: Sequence[int]) -> tuple[int, int]:
-    """p and q with alpha = p/q, once the widest |x| passes the fixed-point
-    width precondition bits(|x|) + guard <= bits."""
+# a member source: the elements, or a block sequence read from its blocks
+Source = Union[BlockSequence, Sequence[int]]
+
+
+def _dilation(alpha: Alpha, source: Source, n: int) -> tuple[int, int]:
+    """p and q with alpha = p/q, once the widest |x| of the first n members
+    of ``source`` passes the fixed-point width precondition bits(|x|) +
+    guard <= bits."""
     if alpha.mode == "rational":
         return alpha.num, alpha.den
-    need = int(max(map(abs, elements), default=0)).bit_length() + alpha.guard
+    if isinstance(source, BlockSequence):  # increasing and positive: the last
+        widest = 0
+        for geometric, base, lo, hi in _parts(source, n):
+            widest = base + (1 << (hi - 1)) if geometric else base + hi - 1
+    else:
+        widest = int(max(map(abs, islice(source, n)), default=0))
+    need = widest.bit_length() + alpha.guard
     if need > alpha.bits:
         raise PrecisionError(
             f"multiplier needs {need} mantissa bits (value bits + guard) "
@@ -169,6 +187,8 @@ def _dilation(alpha: Alpha, elements: Sequence[int]) -> tuple[int, int]:
 # residue moduli up to this size are counted as they are, larger ones by
 # their top 64 bits
 _U64_MODULUS = 1 << 64
+# moduli up to this size take p * (x mod q) in uint64
+_U32_MODULUS = 1 << 32
 # anchors per block of the uint64 sweep, so its scratch stays flat
 _SEARCH_CHUNK = 1 << 16
 # successors per anchor the uint64 sweep tests over contiguous slices before
@@ -176,48 +196,122 @@ _SEARCH_CHUNK = 1 << 16
 _DENSE_ROUNDS = 4
 
 
-def _words(elements: Sequence[int]) -> np.ndarray:
-    """Every element mod 2**64 as a uint64 word; a uint64 array is returned
-    as it is and an int64 array is viewed as uint64 (two's complement is
-    already x mod 2**64), neither copied.  That is all the residues need
+def _parts(seq: BlockSequence, n: int) -> Iterator[tuple[bool, int, int, int]]:
+    """``seq.own_parts()`` through its first n members, the last part cut."""
+    for geometric, base, lo, hi in seq.own_parts():
+        if n <= 0:
+            return
+        hi = min(hi, lo + n)
+        n -= hi - lo
+        yield geometric, base, lo, hi
+
+
+def _block_reduced(seq: BlockSequence, n: int, q: int) -> np.ndarray | Iterator[int]:
+    """x mod q for the first n members of ``seq``, per block: the base
+    reduced once, plus k for a run member base + k, plus 2^k mod q by
+    doubling for a geometric member base + 2^k.  Words in numpy uint64 for
+    q <= 2**32 and for q = 2**64 (there the sums and doublings wrap), small
+    Python ints otherwise."""
+    if q > _U32_MODULUS and q != _U64_MODULUS:
+        return _block_reduced_ints(seq, n, q)
+    words = [np.empty(0, dtype=np.uint64)]
+    for geometric, base, lo, hi in _parts(seq, n):
+        if not geometric:
+            steps = np.arange(lo, hi, dtype=np.uint64)
+        elif q == _U64_MODULUS:
+            k = np.arange(lo, hi, dtype=np.uint64)
+            steps = np.where(k < 64, np.uint64(1) << np.minimum(k, np.uint64(63)), np.uint64(0))
+        else:  # 2^k mod q for 32 k at a time: (2^k0 mod q) << t < 2**63
+            heads = np.fromiter(_doublings(lo, hi, q, 32), dtype=np.uint64)
+            steps = heads[:, None] << np.arange(32, dtype=np.uint64)
+            steps = steps.ravel()[:hi - lo] % np.uint64(q)
+        steps += np.uint64(base % q)
+        if q != _U64_MODULUS:
+            steps %= np.uint64(q)
+        words.append(steps)
+    return np.concatenate(words)
+
+
+def _block_reduced_ints(seq: BlockSequence, n: int, q: int) -> Iterator[int]:
+    """:func:`_block_reduced` in Python ints, for any q."""
+    for geometric, base, lo, hi in _parts(seq, n):
+        b = base % q
+        for step in _doublings(lo, hi, q) if geometric else range(lo, hi):
+            yield (b + step) % q
+
+
+def _doublings(lo: int, hi: int, q: int, step: int = 1) -> Iterator[int]:
+    """2^k mod q for k = lo, lo + step, ... below hi, each the last one
+    doubled step times."""
+    return accumulate(repeat(None, (hi - lo - 1) // step), lambda x, _: (x << step) % q,
+                      initial=pow(2, lo, q))
+
+
+def _words(source: Source, n: int | None = None) -> np.ndarray:
+    """The first n members (all by default) mod 2**64 as uint64 words; a
+    uint64 array is returned as it is and an int64 array is viewed as
+    uint64 (two's complement is already x mod 2**64), neither copied, and a
+    block sequence gives them per block.  That is all the residues need
     under a power-of-two q <= 2**64, since q divides 2**64."""
+    n = len(source) if n is None else n
+    if isinstance(source, BlockSequence):
+        return _block_reduced(source, n, _U64_MODULUS)
+    elements = source if n == len(source) else source[:n]
     if isinstance(elements, np.ndarray) and elements.dtype in (np.uint64, np.int64):
         return elements.view(np.uint64)
     try:  # elements in [0, 2**64) convert as they are
-        return np.fromiter(elements, dtype=np.uint64, count=len(elements))
+        return np.fromiter(elements, dtype=np.uint64, count=n)
     except OverflowError:
         mask = _U64_MODULUS - 1
-        return np.fromiter((x & mask for x in elements), dtype=np.uint64,
-                           count=len(elements))
+        return np.fromiter((x & mask for x in elements), dtype=np.uint64, count=n)
 
 
-def _residues(alpha: Alpha, elements: Sequence[int]
+def _reduced(source: Source, n: int, q: int) -> np.ndarray | Iterable[int]:
+    """x mod q for the first n members of ``source``: uint64 words for q <=
+    2**32, Python ints above; a block sequence gives them per block, the
+    elements one by one."""
+    if isinstance(source, BlockSequence):
+        return _block_reduced(source, n, q)
+    reduced = (x % q for x in islice(source, n))
+    return np.fromiter(reduced, dtype=np.uint64, count=n) if q <= _U32_MODULUS else reduced
+
+
+def _residues(alpha: Alpha, source: Source, n: int | None = None
               ) -> tuple[np.ndarray, int, Callable[[int], int] | None]:
-    """The residues r = p * x mod q of alpha = p/q as uint64 words, q, and
-    (for q > 2**64) the exact r of the element at an index.
+    """The residues r = p * x mod q of alpha = p/q over the first n members
+    of ``source`` (all by default) as uint64 words, q, and (for q > 2**64)
+    the exact r of the member at an index.
 
-    For q <= 2**64 the words are the residues: by mask for a power-of-two q
-    (x mod q also for negative x), else (p * (x % q)) % q.  Above, they are
-    the top words floor(r * 2**64 / q) = (x % q) * c >> k mod 2**64 with
-    c = ceil(p * 2**(64 + k) / q): exact at k = b - 64 for q = 2**b, and at
+    Every residue is read from x mod q (:func:`_reduced`).  For q <= 2**64
+    the words are the residues: by mask for a power-of-two q (from
+    :func:`_words`, x mod q also for negative x), p * (x mod q) mod q in
+    uint64 for q <= 2**32 and in Python ints above.  Above 2**64 they are
+    the top words floor(r * 2**64 / q) = (x % q) * c >> k mod 2**64 with c
+    = ceil(p * 2**(64 + k) / q): exact at k = b - 64 for q = 2**b, and at
     k = 2 bits(q) for any q, where the error term (x % q) * (c - p * 2**(64
     + k) / q) / 2**k < q / 2**k stays below 1/q, the spacing of r * 2**64 /
-    q.  :func:`_words` may stand in for the elements only under a rational
-    alpha with power-of-two q <= 2**64."""
-    p, q = _dilation(alpha, elements)
+    q; the resolver reads the kept x mod q.  :func:`_words` may stand in for
+    the elements only under a rational alpha with power-of-two q <= 2**64."""
+    n = len(source) if n is None else n
+    p, q = _dilation(alpha, source, n)
     if q <= _U64_MODULUS and not q & (q - 1):
         # q divides 2**64, so the product may wrap mod 2**64 before the mask
-        res = _words(elements) * np.uint64(p)
+        res = _words(source, n) * np.uint64(p)
         res &= np.uint64(q - 1)
         return res, q, None
+    reduced = _reduced(source, n, q)
+    if q <= _U32_MODULUS:  # p * (x mod q) < 2**64
+        reduced *= np.uint64(p)
+        reduced %= np.uint64(q)
+        return reduced, q, None
     if q <= _U64_MODULUS:
-        words = ((p * (x % q)) % q for x in elements)
-    else:
-        k = q.bit_length() - 65 if not q & (q - 1) else 2 * q.bit_length()
-        scaled, mask = -(-(p << (64 + k)) // q), _U64_MODULUS - 1
-        words = ((x % q) * scaled >> k & mask for x in elements)
-    words = np.fromiter(words, dtype=np.uint64, count=len(elements))
-    return words, q, (lambda i: p * (elements[i] % q) % q) if q > _U64_MODULUS else None
+        words = ((p * r) % q for r in reduced)
+        return np.fromiter(words, dtype=np.uint64, count=n), q, None
+    reduced = list(reduced)
+    k = q.bit_length() - 65 if not q & (q - 1) else 2 * q.bit_length()
+    scaled, mask = -(-(p << (64 + k)) // q), _U64_MODULUS - 1
+    words = np.fromiter((r * scaled >> k & mask for r in reduced), dtype=np.uint64, count=n)
+    return words, q, lambda i: p * reduced[i] % q
 
 
 def _search_rest(sorted_res: np.ndarray, q: int, limit: int, anchors: np.ndarray) -> int:
@@ -416,7 +510,7 @@ def _count_cell(counts: dict[int, int], limits: tuple[int, int] | None, n: int) 
 
 
 def _statistics(
-    elements: Sequence[int],
+    source: Source,
     alpha: Alpha,
     ns: Iterable[int],
     s_values: Iterable[SLike],
@@ -426,20 +520,21 @@ def _statistics(
     Every n and s is checked before any work, and the fixed-point width
     check runs once, over the longest prefix that needs counting (a cell
     with 2s >= n covers the whole circle and needs none).  The words of
-    that prefix come once from :func:`_residues`.  Residues are sorted by
+    that prefix come once from :func:`_residues`, of the elements or per
+    block of a block sequence, which it never forms.  Residues are sorted by
     ``np.sort``, as a copy for each shorter prefix and in place for the
     longest; top words through ``np.argsort``, whose order leads back to
     the elements.  :func:`_count_within_u64` counts every limit of every s
     from that sorted array; the cells then raise their ``PrecisionError``
     in (n, s) order.
     """
-    ns, s_values = _grid(len(elements), ns, s_values)
+    ns, s_values = _grid(len(source), ns, s_values)
     out = {(n, s): Fraction(n - 1) for n in ns for s in s_values if 2 * s >= n}
     counted = [n for n in ns if any(2 * s < n for s in s_values)]
     if not counted:
         return out
     top = counted[-1]
-    words, q, exact = _residues(alpha, elements if top == len(elements) else elements[:top])
+    words, q, exact = _residues(alpha, source, top)
     for n in counted:
         exact_at = None
         if exact is not None:
@@ -466,7 +561,8 @@ def pair_correlation(seq: SequenceLike, alpha: Alpha, n: int, s: SLike) -> Fract
     between the dilated points (closed threshold), scaled by 1/n, in
     O(n log n) by sorting the residues p * a mod q of alpha = p/q (see
     :func:`_count_within_u64`).  In fixed-point mode a comparison landing
-    inside the guard window raises :class:`PrecisionError`.  A classic
+    inside the guard window raises :class:`PrecisionError`.  A block
+    sequence is read per block, without forming its elements.  A classic
     family stored as int64 is read as its uint64 words, without building
     its Python ints, under a rational alpha whose q is a power of two <=
     2**64: x mod 2**64 is all a residue then reads.
@@ -475,10 +571,16 @@ def pair_correlation(seq: SequenceLike, alpha: Alpha, n: int, s: SLike) -> Fract
     q = alpha.den
     if (isinstance(seq, ClassicSequence) and isinstance(seq.members, np.ndarray)
             and alpha.mode == "rational" and not q & (q - 1) and q <= _U64_MODULUS):
-        elements = _words(seq.members)
+        source = _words(seq.members)
     else:
-        elements = as_elements(seq)
-    return _statistics(elements, alpha, [n], [s])[n, s]
+        source = _source(seq)
+    return _statistics(source, alpha, [n], [s])[n, s]
+
+
+def _source(seq: SequenceLike) -> Source:
+    """What the residues of ``seq`` are read from: a block sequence itself,
+    whose residues come per block, else its elements."""
+    return seq if isinstance(seq, BlockSequence) else as_elements(seq)
 
 
 def _prepare(seq: SequenceLike, n: int, s: SLike) -> tuple[Sequence[int], Fraction]:
@@ -758,7 +860,7 @@ def divergence_probe(
     s = Fraction(s)
     levels = sorted(set(levels))
     ns = [seq.checkpoint(j) for j in levels]
-    stats = _statistics(as_elements(seq), alpha, ns, [s])
+    stats = _statistics(seq, alpha, ns, [s])
     points = []
     for j, n in zip(levels, ns):
         x = 2.0**j
@@ -825,21 +927,21 @@ def monte_carlo_ppc(
     seed, so results are reproducible run to run and independent of the
     execution order.  The schedule and the s values are sorted and their
     repeats dropped, and rows are emitted sorted by (trial, n, s).  Every
-    input is checked before any work.  The elements become uint64 words
+    input is checked before any work.  The members become uint64 words
     (x mod 2**64) once per call, and every trial passes the words in place
     of the elements: its q is 2**64, so x mod 2**64 is all a residue reads.
     A classic family stored as int64 (:func:`~ppclab.sequences.classic`) is
-    read as those words without a copy, and its Python-int elements are
-    never built.
+    read as those words without a copy, and a block sequence per block:
+    neither forms its Python-int elements.
     Each trial answers every (n, s) from one sort per prefix.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    elements = seq.members if isinstance(seq, ClassicSequence) else as_elements(seq)
-    schedule, s_fracs = _grid(len(elements), [int(n) for n in schedule], s_values)
+    source = seq.members if isinstance(seq, ClassicSequence) else _source(seq)
+    schedule, s_fracs = _grid(len(source), [int(n) for n in schedule], s_values)
     if not schedule or not s_fracs:
         raise ValueError("schedule and s list must be nonempty")
-    words = _words(elements[:schedule[-1]])
+    words = _words(source, schedule[-1])
     rows = []
     for trial in range(trials):
         alpha = _trial_alpha(seed, trial)

@@ -9,7 +9,9 @@ blocks keep the counting function long enough that the energy still falls
 below the classical threshold.
 
 Elements grow doubly exponentially (the top G element at level j has on the
-order of 2^j bits), so everything is plain Python big integers.  Classic
+order of 2^j bits), so everything is plain Python big integers.  A block
+sequence holds its blocks, each a run C + [0, L) or a family 2C + 2^i, and
+forms its element list from them only when asked for it.  Classic
 comparison families (identity, powers, primes, lacunary) live here too,
 held as int64 words while their members fit one, as does the
 one-integer-per-line file format shared with the CLI, whose block files one
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
@@ -91,6 +92,9 @@ class BlockParams:
 class Block:
     """One block's membership.  ``length`` is the size of the block as a set.
 
+    ``c`` is the level's C_j: an "A" block holds the run c + [0, length), a
+    "G" block the members 2c + 2^i for i = 1..length (level 1, whose c is
+    0, holds the seed {1, 2} in its "G" block and nothing in its "A" block).
     The element list is a set union, so a block can share members with
     earlier blocks.  Consecutive runs stay contiguous in storage, so for an
     "A" block the values are ``elements[start_index : start_index+length]``
@@ -103,17 +107,53 @@ class Block:
     start_index: int
     length: int
     shared: tuple[int, ...] = ()
+    c: int = 0
 
 
 @dataclass(frozen=True)
 class BlockSequence:
+    """The blocks of the construction and their checkpoints.  The element
+    list is formed from the blocks on first access and kept; ``len()``,
+    the block files and the residues of ``paircorr`` read the blocks."""
+
     params: BlockParams
-    elements: list[int]
     blocks: tuple[Block, ...]
     checkpoints: tuple[int, ...]  # checkpoints[j-1] = #elements through level j
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.checkpoints[-1]
+
+    @cached_property
+    def elements(self) -> list[int]:
+        elements: list[int] = []
+        for geometric, base, lo, hi in self.own_parts():
+            if geometric:
+                elements.extend(base + (1 << i) for i in range(lo, hi))
+            else:
+                elements.extend(range(base + lo, base + hi))
+        for a, b in zip(elements, elements[1:]):
+            if a >= b:  # defensive: the invariant every consumer relies on
+                raise AssertionError("construction produced a non-increasing list")
+        return elements
+
+    def own_parts(self) -> Iterator[tuple[bool, int, int, int]]:
+        """The members each block adds to the union, in storage order, as
+        ``(geometric, base, lo, hi)``: base + 2^k for lo <= k < hi from a
+        geometric block, base + k for lo <= k < hi from a run.  A restarted
+        run adds the members above the last one stored; the level-1 seed is
+        the run 1 + [0, 2)."""
+        done = 0
+        for b in self.blocks:
+            hi = b.start_index + b.length - len(b.shared)  # the end of its storage
+            if hi <= done:
+                continue
+            if b.level == 1:
+                yield False, 1, 0, 2
+            elif b.kind == "A":
+                yield False, b.c, done - b.start_index, b.length
+            else:  # the shared members are the least, 2c + 2^i for i <= len(shared)
+                yield True, 2 * b.c, len(b.shared) + 1, b.length + 1
+            done = hi
 
     def checkpoint(self, j: int) -> int:
         if not (1 <= j <= self.params.j_max):
@@ -137,11 +177,12 @@ class BlockSequence:
         return b
 
     def block_values(self, block: Block) -> list[int]:
-        """The block's members in increasing order (resolving shared storage)."""
-        own = self.elements[
-            block.start_index : block.start_index + block.length - len(block.shared)
-        ]
-        return list(block.shared) + own
+        """The block's members in increasing order, shared ones included."""
+        if block.level == 1:
+            return [1, 2] if block.kind == "G" else []
+        if block.kind == "A":
+            return list(range(block.c, block.c + block.length))
+        return [2 * block.c + (1 << i) for i in range(1, block.length + 1)]
 
 
 SequenceLike = Union[BlockSequence, "ClassicSequence", Sequence[int]]
@@ -199,13 +240,15 @@ def build_blocks(
                 f"{max_total_bits}; lower j_max or raise the budget"
             )
 
-    elements: list[int] = [1, 2]
     blocks: list[Block] = [
         Block(level=1, kind="A", start_index=0, length=0),
         Block(level=1, kind="G", start_index=0, length=2),
     ]
     checkpoints: list[int] = [2]
     last_g_max = 2  # largest element of the most recent nonempty G block
+    # the union so far: `stored` elements, the largest `top`, and the
+    # longest consecutive tail [tail, top] of the storage
+    stored, top, tail = 2, 2, 1
 
     for j in range(2, j_max + 1):
         la, lg = params.a_len(j), params.g_len(j)
@@ -213,59 +256,64 @@ def build_blocks(
 
         # consecutive run [c, c + la)
         if la > 0:
-            top = elements[-1]
             if c > top:
-                blocks.append(Block(j, "A", len(elements), la))
-                elements.extend(range(c, c + la))
+                blocks.append(Block(j, "A", stored, la, c=c))
+                stored, top, tail = stored + la, c + la - 1, tail if c == top + 1 else c
             else:
                 # a restarted run: everything in [c, top] must already be
                 # present as a consecutive run from an earlier level
-                start_index = bisect_left(elements, c)
-                if elements[start_index:] != list(range(c, top + 1)):
+                if c < tail:
                     raise ValueError(
                         f"level {j}: run starting at {c} collides with "
                         "non-run elements; construction is inconsistent"
                     )
+                blocks.append(Block(j, "A", stored - (top - c + 1), la, c=c))
                 if c + la - 1 > top:
-                    elements.extend(range(top + 1, c + la))
-                blocks.append(Block(j, "A", start_index, la))
+                    stored, top = stored + c + la - 1 - top, c + la - 1
         else:
-            blocks.append(Block(j, "A", len(elements), 0))
+            blocks.append(Block(j, "A", stored, 0, c=c))
 
         # geometric block {2c + 2^i}; the union can share small members with
         # this level's consecutive run (every integer of the run is present,
         # so a member at or below the current maximum must be one of them)
         if lg > 0:
             two_c = 2 * c
-            members = [two_c + (1 << i) for i in range(1, lg + 1)]
-            top = elements[-1]
-            shared = [v for v in members if v <= top]
+            below = (top - two_c).bit_length() - 1 if top > two_c else 0  # 2^i <= top - 2c
+            shared = [two_c + (1 << i) for i in range(1, min(lg, below) + 1)]
             for v in shared:
-                idx = bisect_left(elements, v)
-                if idx >= len(elements) or elements[idx] != v:
+                if not any(_holds(b, v) for b in blocks):
                     raise ValueError(
                         f"level {j}: geometric member {v} falls below the "
                         f"current maximum {top} without being present; "
                         "construction is inconsistent"
                     )
-            blocks.append(Block(j, "G", len(elements), lg, shared=tuple(shared)))
-            elements.extend(v for v in members if v > top)
-            last_g_max = members[-1]
+            blocks.append(Block(j, "G", stored, lg, shared=tuple(shared), c=c))
+            last_g_max = two_c + (1 << lg)
+            own = lg - len(shared)
+            if own:  # members 2^i apart, so only the first can extend the tail
+                if own > 1 or last_g_max != top + 1:
+                    tail = last_g_max
+                stored, top = stored + own, last_g_max
         else:
-            blocks.append(Block(j, "G", len(elements), 0))
+            blocks.append(Block(j, "G", stored, 0, c=c))
 
-        checkpoints.append(len(elements))
-
-    for a, b in zip(elements, elements[1:]):
-        if a >= b:  # defensive: the invariant every consumer relies on
-            raise AssertionError("construction produced a non-increasing list")
+        checkpoints.append(stored)
 
     return BlockSequence(
         params=params,
-        elements=elements,
         blocks=tuple(blocks),
         checkpoints=tuple(checkpoints),
     )
+
+
+def _holds(b: Block, v: int) -> bool:
+    """Whether v is a member of block b, from its record alone."""
+    if b.level == 1:
+        return b.kind == "G" and v in (1, 2)
+    if b.kind == "A":
+        return b.c <= v < b.c + b.length
+    d = v - 2 * b.c
+    return d > 1 and not d & (d - 1) and d.bit_length() - 1 <= b.length
 
 
 # -- classic comparison families ------------------------------------------------
@@ -539,23 +587,15 @@ def _streamed_blocks(path) -> BlockSequence | None:
 
 def _block_lines(seq: BlockSequence) -> Iterator[bytes]:
     """The body lines of ``seq``'s block file, one per element, from the
-    construction: the level-1 seed as it is, each A block's new members by
-    ``_run_lines`` and each G block's own members 2C + 2^i by
+    construction (``BlockSequence.own_parts``): run members by
+    ``_run_lines`` and geometric members base + 2^i by
     ``_geometric_lines``.  A run head above the interpreter's digit cap
     needs the caller inside ``_all_digits()``."""
-    elements, done = seq.elements, 0
-    for b in seq.blocks:
-        hi = b.start_index + b.length - len(b.shared)  # the end of its storage
-        if hi <= done:
-            continue
-        if b.level == 1:
-            yield from map(b"%d\n".__mod__, elements[done:hi])
-        elif b.kind == "A":  # a restarted run adds its members above the last
-            yield from _run_lines(elements[done], hi - done)
-        else:  # the shared members are the least, 2C + 2^i for i <= len(shared)
-            lo = len(b.shared) + 1
-            yield from _geometric_lines(elements[done] - (1 << lo), lo, b.length)
-        done = hi
+    for geometric, base, lo, hi in seq.own_parts():
+        if geometric:
+            yield from _geometric_lines(base, lo, hi - 1)
+        else:
+            yield from _run_lines(base + lo, hi - lo)
 
 
 # every sum of _geometric_lines is exact: a rounding raises and is never written

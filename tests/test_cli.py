@@ -449,6 +449,49 @@ def test_help_still_exits_zero(capsys, argv):
     assert "usage: ppclab" in capsys.readouterr().out
 
 
+def test_one_parser_serves_a_usage_error_between_two_runs(tmp_path):
+    # the parser is built once per process; a usage error between two good
+    # runs leaves it as it was, so each call ends as it ends alone
+    calls = [
+        ["bohr", "--d", "3", "--delta", "1/10"],
+        ["pc", "--family", "power", "--seq-n", "5", "--alpha", "1/3", "--bogus", "1"],
+        ["pc", "--family", "power", "--seq-n", "40", "--alpha", "1/7", "--s", "1/2"],
+    ]
+    alone = []
+    for argv in calls:
+        ppclab.cli._build_parser.cache_clear()
+        alone.append(_run_main(argv)[:2])
+    ppclab.cli._build_parser.cache_clear()
+    assert [_run_main(argv)[:2] for argv in calls] == alone
+    assert [code for code, _ in alone] == [0, 2, 0]
+    assert ppclab.cli._build_parser() is ppclab.cli._build_parser()
+
+
+@pytest.mark.parametrize("source", ["flags", "file"])
+def test_probe_never_forms_the_element_list(tmp_path, monkeypatch, capsys, source):
+    blocks = ["--f", "ilog(1)", "--beta", "0.7", "--gamma", "0.45", "--jmax", "12"]
+    seq_args = ["--family", "blocks", *blocks]
+    if source == "file":
+        assert run_cli("build-seq", *blocks, "--out", tmp_path / "seq.txt") == 0
+        seq_args = ["--seq", tmp_path / "seq.txt"]
+    probed = []
+
+    def probe(seq, *args):
+        probed.append(seq)
+        return divergence_probe(seq, *args)
+
+    divergence_probe = ppclab.cli.divergence_probe
+    monkeypatch.setattr(ppclab.cli, "divergence_probe", probe)
+    assert run_cli("probe", *seq_args, "--levels", "8..12", "--s", 1,
+                   "--alpha-from-regular-system", "j=10", "rank=3", "target=11") == 0
+    (seq,) = probed
+    # the residues came per block, and nothing asked for the members
+    assert "elements" not in seq.__dict__
+    rows = [line.split() for line in capsys.readouterr().out.splitlines() if "R=" in line]
+    assert len(rows) == 5 and seq.elements  # the list forms on first access
+    assert "elements" in seq.__dict__
+
+
 # -- fuzzing the evaluator's commands ---------------------------------------------------
 #
 # pc, probe, mc, energy, scaling, bohr, bc-ratio, corollary-table and
