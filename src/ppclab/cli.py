@@ -559,9 +559,8 @@ def _run_mc(p: dict[str, object], ctx: RunContext) -> None:
 
 def _run_bohr(p: dict[str, object], ctx: RunContext) -> None:
     s = bohr_set(p["bohr.d"], p["bohr.delta"])
-    for line in interval_set_to_lines(s):
-        print(line)
-    print(f"measure = {s.measure}")
+    # one write, however many intervals; the lines are freed before it
+    print("\n".join([*interval_set_to_lines(s), f"measure = {s.measure}"]))
     if p["out.intervals"] is not None:
         write_interval_set(
             p["out.intervals"], s,

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .sequences import BudgetError
@@ -44,6 +45,7 @@ Pair = tuple[int, int]  # (lo, hi) numerators over a set's denominator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+HALF = Fraction(1, 2)
 
 # Most intervals one bohr_set or small_denominator_set call may build
 # (|d| + 1 per frequency d); larger requests are refused up front.
@@ -82,18 +84,26 @@ class Interval:
 
 def _canonical(den: int, pairs: Iterable[Pair]) -> tuple[int, tuple[Pair, ...]]:
     """The normal form of the pairs over ``den``: zero-length pairs dropped,
-    the rest sorted with overlapping or touching pairs merged, then ``den``
-    and every endpoint divided by their common gcd."""
+    the rest merged by ``_merged``."""
+    return _merged(den, [p for p in pairs if p[0] < p[1]])
+
+
+def _merged(den: int, pairs: list[Pair]) -> tuple[int, tuple[Pair, ...]]:
+    """The normal form of pairs over ``den``, none of zero length: sorted in
+    place by left end alone (faster than comparing pairs; the merge takes
+    equal left ends in any order), overlapping or touching pairs merged,
+    then ``den`` and every endpoint divided by their common gcd."""
+    pairs.sort(key=itemgetter(0))
     out: list[Pair] = []
     end = -1  # right end of the last component; endpoints are >= 0
-    for lo, hi in sorted(p for p in pairs if p[0] < p[1]):
-        if lo > end:
-            out.append((lo, hi))
-            end = hi
-        elif hi > end:
+    for p in pairs:
+        if p[0] > end:
+            out.append(p)
+            end = p[1]
+        elif p[1] > end:
             # overlap or touch: extend the previous component
-            out[-1] = (out[-1][0], hi)
-            end = hi
+            end = p[1]
+            out[-1] = (out[-1][0], end)
     g = den
     for lo, hi in out:
         if g == 1:
@@ -133,8 +143,13 @@ class IntervalSet:
     @classmethod
     def _from_pairs_over(cls, den: int, pairs: Iterable[Pair]) -> "IntervalSet":
         """The set of [lo/den, hi/den] over integer pairs with 0 <= lo, hi <= den."""
+        return cls._normal(*_canonical(den, pairs))
+
+    @classmethod
+    def _normal(cls, den: int, pairs: tuple[Pair, ...]) -> "IntervalSet":
+        """The set whose pairs over ``den`` are already in normal form."""
         s = cls.__new__(cls)
-        s._den, s._pairs = _canonical(den, pairs)
+        s._den, s._pairs = den, pairs
         return s
 
     @classmethod
@@ -143,11 +158,11 @@ class IntervalSet:
 
     @classmethod
     def full(cls) -> "IntervalSet":
-        return cls._from_pairs_over(1, [(0, 1)])
+        return cls._normal(1, ((0, 1),))
 
     @classmethod
     def empty(cls) -> "IntervalSet":
-        return cls._from_pairs_over(1, [])
+        return cls._normal(1, ())
 
     # -- container protocol ------------------------------------------------
 
@@ -191,9 +206,16 @@ class IntervalSet:
         den = lcm(self._den, other._den)
         return den, _scaled(self._pairs, den // self._den), _scaled(other._pairs, den // other._den)
 
+    def _is_full(self) -> bool:
+        return self._den == 1 and bool(self._pairs)  # den 1 leaves only [0, 1]
+
     def union(self, other: "IntervalSet") -> "IntervalSet":
+        if not other._pairs or self._is_full():
+            return self
+        if not self._pairs or other._is_full():
+            return other
         den, a, b = self._common(other)
-        return IntervalSet._from_pairs_over(den, [*a, *b])
+        return IntervalSet._normal(*_merged(den, [*a, *b]))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         # Two-pointer sweep over the sorted component lists.
@@ -232,14 +254,17 @@ def _check_pieces(pieces: int) -> None:
         )
 
 
-def _bohr_pairs(q: int, delta: Fraction, m: int) -> list[Pair]:
-    """The pieces of bohr_set(q, delta) as numerator pairs over
-    q * delta.denominator * m: the centre k/q sits at k * delta.denominator * m
-    and the radius delta/q is delta.numerator * m, clipped to [0, 1]."""
+def _bohr_pairs(q: int, delta: Fraction, m: int) -> tuple[Pair, ...]:
+    """The pieces of bohr_set(q, delta) for 0 < delta < 1/2 as numerator
+    pairs over q * delta.denominator * m: the centre k/q sits at
+    k * delta.denominator * m and the radius delta/q is delta.numerator * m,
+    clipped to [0, 1] at the two ends.  The radius is below half the step
+    between centres, so the q + 1 pieces come sorted and disjoint."""
     step = delta.denominator * m
     r = delta.numerator * m
     top = q * step
-    return [(max(0, c - r), min(top, c + r)) for c in range(0, top + 1, step)]
+    inner = zip(range(step - r, top - r, step), range(step + r, top, step))
+    return ((0, r), *inner, (top - r, top))
 
 
 def bohr_set(d: int, delta: RationalLike) -> IntervalSet:
@@ -250,15 +275,24 @@ def bohr_set(d: int, delta: RationalLike) -> IntervalSet:
     |d| + 1 closed intervals centred on the rationals k/|d| (clipped at the
     ends), and its measure is exactly min(1, 2*delta).  Raises BudgetError
     when |d| + 1 exceeds MAX_BOHR_PIECES.
+
+    The set is built in normal form: empty at delta = 0, [0, 1] at
+    delta = 1/2, else the q + 1 disjoint pieces of ``_bohr_pairs``, whose
+    endpoints delta.numerator and delta.denominator - delta.numerator are
+    coprime, so their denominator q * delta.denominator is in lowest terms.
     """
     if d == 0:
         raise ValueError("frequency d must be nonzero")
     delta = _frac(delta)
-    if not (ZERO <= delta <= Fraction(1, 2)):
+    if not (ZERO <= delta <= HALF):
         raise ValueError(f"delta must lie in [0, 1/2], got {delta}")
     q = abs(d)
     _check_pieces(q + 1)
-    return IntervalSet._from_pairs_over(q * delta.denominator, _bohr_pairs(q, delta, 1))
+    if delta == ZERO:
+        return IntervalSet.empty()
+    if delta == HALF:
+        return IntervalSet.full()
+    return IntervalSet._normal(q * delta.denominator, _bohr_pairs(q, delta, 1))
 
 
 def small_denominator_set(b_set: Iterable[int], eps: RationalLike) -> IntervalSet:
@@ -283,12 +317,13 @@ def small_denominator_set(b_set: Iterable[int], eps: RationalLike) -> IntervalSe
     freqs = sorted({abs(d) for d in diffs if d != 0})
     _check_pieces(sum(d + 1 for d in freqs))
     # every piece goes over one denominator, lcm(freqs) * radius.denominator,
-    # and the whole union is normalized once
+    # and the whole union is merged once; 0 < radius < 1/2, so no piece has
+    # zero length
     step_den = lcm(*freqs)
     pairs: list[Pair] = []
     for d in freqs:
         pairs.extend(_bohr_pairs(d, radius, step_den // d))
-    return IntervalSet._from_pairs_over(step_den * radius.denominator, pairs)
+    return IntervalSet._normal(*_merged(step_den * radius.denominator, pairs))
 
 
 def borel_cantelli_ratio(sets: Sequence[IntervalSet]) -> Fraction:
@@ -317,12 +352,15 @@ def borel_cantelli_ratio(sets: Sequence[IntervalSet]) -> Fraction:
 # Lines starting with '#' (and blank lines) are ignored on read.
 
 
-def _fmt(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _fmt(num: int, den: int) -> str:
+    """num/den in lowest terms, as str(Fraction(num, den)) with a "/1"."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def interval_set_to_lines(s: IntervalSet) -> list[str]:
-    return [f"{_fmt(iv.lo)} {_fmt(iv.hi)}" for iv in s]
+    den = s._den
+    return [f"{_fmt(lo, den)} {_fmt(hi, den)}" for lo, hi in s._pairs]
 
 
 def interval_set_from_lines(lines: Iterable[str]) -> IntervalSet:
@@ -338,7 +376,10 @@ def interval_set_from_lines(lines: Iterable[str]) -> IntervalSet:
             lo, hi = Fraction(parts[0]), Fraction(parts[1])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: bad rational in {line!r}: {exc}") from None
-        pieces.append(Interval(lo, hi))
+        try:
+            pieces.append(Interval(lo, hi))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return IntervalSet(pieces)
 
 
@@ -353,4 +394,7 @@ def write_interval_set(path, s: IntervalSet, comment: str | None = None) -> None
 
 def read_interval_set(path) -> IntervalSet:
     with open(path, "r", encoding="ascii") as fh:
-        return interval_set_from_lines(fh)
+        try:
+            return interval_set_from_lines(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -15,7 +15,7 @@ forms its element list from them only when asked for it.  Classic
 comparison families (identity, powers, primes, lacunary) live here too,
 held as int64 words while their members fit one, as does the
 one-integer-per-line file format shared with the CLI, whose block files one
-line generator writes and checks.
+chunk generator writes and checks.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -446,17 +446,17 @@ def _all_digits():
 def write_sequence(path, seq: SequenceLike, meta: dict[str, str] | None = None) -> None:
     """Write the elements one per line after the metadata comments; a
     write that fails removes the file it started.  A block sequence's lines
-    come from its construction (``_block_lines``)."""
+    come from its construction (``_block_chunks``)."""
     if isinstance(seq, BlockSequence):
         meta = block_meta(seq) if meta is None else meta
-        lines = _block_lines(seq)
+        body = _block_chunks(seq)
     else:
-        lines = map(b"%d\n".__mod__, as_elements(seq))
+        body = map(b"%d\n".__mod__, as_elements(seq))
     header = "".join(f"# {key} = {value}\n" for key, value in (meta or {}).items())
     with _all_digits(), open(path, "wb") as fh:
         try:
             fh.write(header.encode("ascii"))
-            fh.writelines(lines)
+            fh.writelines(body)
         except BaseException:
             fh.close()
             os.remove(path)
@@ -547,7 +547,8 @@ def load_sequence(path) -> Union[BlockSequence, list[int]]:
     return elements
 
 
-# lines compared per read; larger chunks raise the peak of a load for no speed
+# lines per chunk of a block file, as written and as compared; larger chunks
+# raise the peak of a load for no speed
 _CHUNK_LINES = 256
 
 
@@ -578,56 +579,56 @@ def _streamed_blocks(path) -> BlockSequence | None:
         except Exception:  # the long way raises it again, or an error before it
             return None
         fh.seek(body)
-        want = _block_lines(seq)
-        while chunk := b"".join(islice(want, _CHUNK_LINES)):
+        for chunk in _block_chunks(seq):
             if fh.read(len(chunk)) != chunk:
                 return None
         return None if fh.read(1) else seq
 
 
-def _block_lines(seq: BlockSequence) -> Iterator[bytes]:
-    """The body lines of ``seq``'s block file, one per element, from the
-    construction (``BlockSequence.own_parts``): run members by
-    ``_run_lines`` and geometric members base + 2^i by
-    ``_geometric_lines``.  A run head above the interpreter's digit cap
+def _block_chunks(seq: BlockSequence) -> Iterator[bytes]:
+    """The body of ``seq``'s block file, one line per element, in chunks of
+    at most ``_CHUNK_LINES`` lines.  The lines come from the construction,
+    one part of ``BlockSequence.own_parts`` at a time: run members by
+    ``_run_chunks`` and geometric members base + 2^i by
+    ``_geometric_chunks``.  A run head above the interpreter's digit cap
     needs the caller inside ``_all_digits()``."""
     for geometric, base, lo, hi in seq.own_parts():
         if geometric:
-            yield from _geometric_lines(base, lo, hi - 1)
+            yield from _geometric_chunks(base, lo, hi - 1)
         else:
-            yield from _run_lines(base + lo, hi - lo)
+            yield from _run_chunks(base + lo, hi - lo)
 
 
-# every sum of _geometric_lines is exact: a rounding raises and is never written
+# every sum of _geometric_chunks is exact: a rounding raises and is never written
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
 
 
-def _geometric_lines(base: int, lo: int, hi: int) -> Iterator[bytes]:
+def _geometric_chunks(base: int, lo: int, hi: int) -> Iterator[bytes]:
     """The lines of base + 2^i for i = lo, ..., hi.  The sums are decimal,
     and each power is the last one doubled, so a line costs time linear in
-    its digits; base is converted once."""
+    its digits; base is converted once.  Each line is encoded as it is
+    made, so no chunk is held as text and as bytes at once."""
     powers = accumulate(repeat(Decimal(2), hi - lo), _EXACT.multiply, initial=Decimal(1 << lo))
     sums = map(_EXACT.add, repeat(Decimal(base)), powers)
-    return map(str.encode, map("%s\n".__mod__, sums))
+    for _ in range(lo, hi + 1, _CHUNK_LINES):
+        yield b"\n".join([*map(str.encode, map(str, islice(sums, _CHUNK_LINES))), b""])
 
 
-def _run_lines(first: int, count: int) -> Iterator[bytes]:
+def _run_chunks(first: int, count: int) -> Iterator[bytes]:
     """The lines ``write_sequence`` writes for first, first + 1, ...,
     first + count - 1: a fixed-width tail below 10^width > count after the
-    decimal of the head, converted once per head value, as the tail carries
-    into the head at most once.  A head above the interpreter's digit cap
-    needs the caller inside ``_all_digits()``."""
+    decimal of the head, so the tail carries into the head at most once.
+    The line format holds the head's decimal, converted once per head
+    value, and a chunk is one ``%`` of that format repeated.  A head above
+    the interpreter's digit cap needs the caller inside ``_all_digits()``."""
     width = len(str(count))
     base = 10**width
     head, low = divmod(first, base)
-    tail = b"%%0%dd\n" % width
-    parts = []
     while count > 0:
-        numbers = range(low, min(base, low + count))
-        if head:
-            parts.append(map((b"%d" % head).__add__, map(tail.__mod__, numbers)))
-        else:
-            parts.append(map(b"%d\n".__mod__, numbers))
-        count -= len(numbers)
+        stop = min(base, low + count)
+        line = b"%d%%0%dd\n" % (head, width) if head else b"%d\n"
+        for start in range(low, stop, _CHUNK_LINES):
+            tails = range(start, min(stop, start + _CHUNK_LINES))
+            yield line * len(tails) % tuple(tails)
+        count -= stop - low
         head, low = head + 1, 0
-    return chain.from_iterable(parts)

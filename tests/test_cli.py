@@ -207,6 +207,18 @@ def test_bc_ratio_pipeline(tmp_path, capsys):
     assert "ratio = 16/69" in capsys.readouterr().out
 
 
+def test_bc_ratio_names_the_file_and_line_of_a_bad_interval(tmp_path, capsys):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("0 1/2\n")
+    bad.write_text("# reversed\n0 1/4\n\n1/2 1/3\n")
+    assert run_cli("bc-ratio", "--sets", good, bad) == 3
+    assert capsys.readouterr().err == (
+        f"precondition error: {bad}: line 4: not a valid subinterval of [0,1]: [1/2, 1/3]\n")
+    bad.write_text("0 1/0\n")
+    assert run_cli("bc-ratio", "--sets", bad, good) == 3
+    assert capsys.readouterr().err.startswith(f"precondition error: {bad}: line 1: bad rational")
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(

@@ -5,17 +5,25 @@ the piece lists include touching, nested, degenerate and full pieces as well
 as the empty list.  The oracles are pointwise membership on a grid of every
 endpoint and the midpoints between them, and a Fraction sort-and-merge
 written here, independent of the integer normal form of ``IntervalSet``.
+The Bohr sets, built in normal form without it, must equal the sets the
+general constructor normalizes from the same clipped Fraction intervals.
 """
 
+import functools
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ppclab import intervals
 from ppclab.intervals import (
+    Interval,
     IntervalSet,
+    bohr_set,
     interval_set_from_lines,
     interval_set_to_lines,
+    small_denominator_set,
 )
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -133,3 +141,64 @@ def test_file_lines_round_trip(pieces):
                      for lo, hi in merged(pieces)]
     back = interval_set_from_lines(lines)
     assert back == s and hash(back) == hash(s)
+
+
+# -- the closed forms ----------------------------------------------------------------
+
+
+HALF = Fraction(1, 2)
+
+
+@st.composite
+def bohr_args(draw):
+    """(d, delta): d nonzero of either sign, often +-1; delta in [0, 1/2],
+    often at one of the two ends."""
+    d = draw(st.one_of(st.sampled_from([1, -1]), st.integers(-80, 80).filter(bool)))
+    delta = draw(st.one_of(st.sampled_from([ZERO, HALF]),
+                           st.fractions(ZERO, HALF, max_denominator=300)))
+    return d, delta
+
+
+def clipped_bohr_set(d, delta):
+    """The union of the |d| + 1 intervals around k/|d| of radius delta/|d|,
+    clipped to [0, 1], normalized by the general constructor."""
+    q = abs(d)
+    return IntervalSet(Interval(max(ZERO, Fraction(k, q) - delta / q),
+                                min(ONE, Fraction(k, q) + delta / q)) for k in range(q + 1))
+
+
+@given(bohr_args())
+def test_bohr_set_is_the_normalized_union_of_its_intervals(args):
+    s = bohr_set(*args)
+    assert s == clipped_bohr_set(*args) and hash(s) == hash(clipped_bohr_set(*args))
+    assert s.measure == 2 * args[1]
+
+
+@given(bohr_args())
+def test_bohr_set_never_normalizes(args):
+    want = clipped_bohr_set(*args)
+    with mock.patch.object(intervals, "_canonical", side_effect=AssertionError("normalized")):
+        got = bohr_set(*args)
+    assert got == want
+
+
+# empty and full sets, from the shortcuts and from the general constructor
+BOUNDS = [IntervalSet.empty(), IntervalSet.full(), IntervalSet([]),
+          IntervalSet.from_pairs([(0, "1/3"), ("1/3", 1)]), IntervalSet.from_pairs([("1/2", "1/2")])]
+
+
+@given(piece_lists(), st.sampled_from(BOUNDS))
+def test_union_with_an_empty_or_full_set_is_the_general_union(pieces, bound):
+    a = IntervalSet.from_pairs(pieces)
+    want = IntervalSet([*a, *bound])
+    assert a.union(bound) == want and bound.union(a) == want
+    assert as_pairs(bound.union(a)) == merged(pieces + as_pairs(bound))
+
+
+@given(st.sets(st.integers(-40, 40), min_size=2, max_size=7),
+       st.fractions(ZERO, ONE, max_denominator=60).filter(lambda eps: ZERO < eps < ONE))
+def test_small_denominator_set_is_the_union_of_its_bohr_sets(b, eps):
+    diffs = {x - y for x in b for y in b}
+    radius = eps / len(diffs)
+    want = functools.reduce(IntervalSet.union, [bohr_set(d, radius) for d in diffs if d])
+    assert small_denominator_set(b, eps) == want

@@ -9,8 +9,9 @@ line) must make ``ppclab energy --seq`` exit 3 with a one-line message.
 ``load_sequence``, which checks a block file against its construction as it
 streams, must give what ``read_sequence``, ``rebuild_from_meta`` and a
 comparison give, on written files and on every edit drawn here: an equal
-sequence, or the same exception type and message.  The line generator that
-writes and checks block files must give the decimal lines of the elements.
+sequence, or the same exception type and message.  The chunk generator that
+writes and checks block files must give the decimal lines of the elements,
+at most ``_CHUNK_LINES`` of them a chunk.
 """
 
 import contextlib
@@ -27,10 +28,11 @@ from ppclab.cli import main
 from ppclab.growth import GrowthFunction
 from ppclab.sequences import (
     BlockSequence,
+    _CHUNK_LINES,
     _all_digits,
-    _block_lines,
-    _geometric_lines,
-    _run_lines,
+    _block_chunks,
+    _geometric_chunks,
+    _run_chunks,
     _streamed_blocks,
     block_meta,
     build_blocks,
@@ -277,39 +279,39 @@ def test_written_block_files_stream_and_others_take_the_long_way(tmp_path):
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 9, 10, 11, 99, 100, 101, 1234])
 def test_run_lines_carry_into_the_head(t, count):
     first = 10**t - 3
-    want = [b"%d\n" % x for x in range(first, first + count)]
-    assert list(_run_lines(first, count)) == want
+    want = b"".join(b"%d\n" % x for x in range(first, first + count))
+    assert b"".join(_run_chunks(first, count)) == want
 
 
 def test_run_lines_past_the_decimal_digit_cap():
     cap = sys.get_int_max_str_digits()
     for first in (10**4400 - 3, 7 * 10**5200 + 5, 2**15000 + 1):
         with _all_digits():
-            want = [b"%d\n" % x for x in range(first, first + 120)]
-            got = list(_run_lines(first, 120))
+            want = b"".join(b"%d\n" % x for x in range(first, first + 120))
+            got = b"".join(_run_chunks(first, 120))
         assert got == want
     assert sys.get_int_max_str_digits() == cap
 
 
-# -- the line generator of block files --------------------------------------------
+# -- the chunk generator of block files -------------------------------------------
 
 
 def decimal_lines(seq):
-    return [b"%d\n" % x for x in seq.elements]
+    return b"".join(b"%d\n" % x for x in seq.elements)
 
 
 @pytest.mark.parametrize("beta, gamma", [(2 / 3, 1 / 3), (0.7, 0.45)])
 def test_block_lines_are_the_decimal_elements(beta, gamma):
     for j_max in range(2, 14):
         seq = build_blocks(GrowthFunction("ilog", r=1), beta, gamma, j_max)
-        assert list(_block_lines(seq)) == decimal_lines(seq), j_max
+        assert b"".join(_block_chunks(seq)) == decimal_lines(seq), j_max
 
 
 @settings(max_examples=40)
 @given(params=block_params())
 def test_block_lines_of_drawn_blocks_are_the_decimal_elements(params):
     seq = build_blocks(*params)
-    assert list(_block_lines(seq)) == decimal_lines(seq)
+    assert b"".join(_block_chunks(seq)) == decimal_lines(seq)
 
 
 @st.composite
@@ -327,14 +329,25 @@ def geometric_rows(draw):
 @given(row=geometric_rows())
 def test_geometric_lines_are_the_decimal_sums(row):
     base, lo, hi = row
-    want = [b"%d\n" % (base + (1 << i)) for i in range(lo, hi + 1)]
-    assert list(_geometric_lines(base, lo, hi)) == want
+    want = b"".join(b"%d\n" % (base + (1 << i)) for i in range(lo, hi + 1))
+    assert b"".join(_geometric_chunks(base, lo, hi)) == want
 
 
 def test_geometric_lines_past_the_decimal_digit_cap():
     cap = sys.get_int_max_str_digits()
     for base, lo in ((10**5000 - 2**7, 7), (2**20000 * 3, 1), (0, 15000)):
         with _all_digits():
-            want = [b"%d\n" % (base + (1 << i)) for i in range(lo, lo + 40)]
-        assert list(_geometric_lines(base, lo, lo + 39)) == want
+            want = b"".join(b"%d\n" % (base + (1 << i)) for i in range(lo, lo + 40))
+        assert b"".join(_geometric_chunks(base, lo, lo + 39)) == want
     assert sys.get_int_max_str_digits() == cap
+
+
+def test_no_chunk_holds_more_than_chunk_lines():
+    # the (2/3, 1/3) T_13 blocks hold runs and geometric blocks longer than a chunk
+    seq = build_blocks(GrowthFunction("ilog", r=1), 2 / 3, 1 / 3, 13)
+    parts = [(_block_chunks(seq), len(seq)), (_run_chunks(10**6 - 300, 1000), 1000),
+             (_geometric_chunks(7, 3, 603), 601)]
+    for chunks, lines in parts:
+        counts = [chunk.count(b"\n") for chunk in chunks]
+        assert sum(counts) == lines
+        assert 0 < min(counts) and max(counts) == _CHUNK_LINES
