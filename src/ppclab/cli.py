@@ -39,11 +39,11 @@ from .growth import (
     psi,
 )
 from .intervals import (
+    _interval_text,
+    _write_interval_text,
     bohr_set,
     borel_cantelli_ratio,
-    interval_set_to_lines,
     read_interval_set,
-    write_interval_set,
 )
 from .paircorr import (
     Alpha,
@@ -559,11 +559,13 @@ def _run_mc(p: dict[str, object], ctx: RunContext) -> None:
 
 def _run_bohr(p: dict[str, object], ctx: RunContext) -> None:
     s = bohr_set(p["bohr.d"], p["bohr.delta"])
-    # one write, however many intervals; the lines are freed before it
-    print("\n".join([*interval_set_to_lines(s), f"measure = {s.measure}"]))
+    # the lines are formatted once, for stdout and the file alike, and
+    # printed with no write per line
+    text = _interval_text(s)
+    print(text, f"measure = {s.measure}", sep="")
     if p["out.intervals"] is not None:
-        write_interval_set(
-            p["out.intervals"], s,
+        _write_interval_text(
+            p["out.intervals"], text,
             comment=f"bohr d={p['bohr.d']} delta={p['bohr.delta']}",
         )
         ctx.outputs.append(p["out.intervals"])

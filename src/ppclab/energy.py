@@ -42,7 +42,8 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -165,6 +166,8 @@ _PAIR_CAP = 1 << 15
 _INT_STEP = 16
 # Python-int gaps held at a time while their gcd is taken
 _GAP_CHUNK = 1024
+# The low bits that ``_screen`` tests first
+_LOW = (1 << 64) - 1
 
 
 def additive_energy(a: Iterable[int], method: str = "sorted") -> int:
@@ -257,16 +260,15 @@ def _energies(xs: Sequence[int], ns: Sequence[int],
     2^i - 2^l - 2^a + 2^c = delta = Delta_s' - Delta_s (``_count4``).  Every
     value of a set is positive, so a set t = u needs no i > l test against
     another set; two such sets count their zero and negative solutions too,
-    N = (count - |I_t||I_t'|) / 2.  A signed sum of four powers of two has a
-    non-adjacent form (NAF) of weight at most 4, and the NAF weight of m is
-    the popcount of (3m ^ m) >> 1: one big-int operation drops almost every
-    pair of sets.  The cross term becomes window counts over the same run
-    items: a family below a run (first y u, length L) meets it in the boxes
-    u - b - 2^m + [0, L), a family above it in b + 2^m - u - [0, L), so a
-    set and a box group count the (i, l, m) with 2^i - 2^l +- 2^m in one
-    window (``_box_hits``); a ramp or a trapezoid is summed segment by
-    segment over the (i, l) with 2^i - 2^l in its window (``_pair_window``).
-    Every term goes to the latest cell among its families and runs.
+    N = (count - |I_t||I_t'|) / 2.  ``_screen`` drops almost every pair of
+    sets, or of items, first.  The cross term becomes window counts over the
+    same run items: a family below a run (first y u, length L) meets it in
+    the boxes u - b - 2^m + [0, L), a family above it in b + 2^m - u -
+    [0, L), so a set and a box group count the (i, l, m) with
+    2^i - 2^l +- 2^m in one window (``_box_hits``); a ramp or a trapezoid is
+    summed segment by segment over the (i, l) with 2^i - 2^l in its window
+    (``_pair_window``).  Every term goes to the latest cell among its
+    families and runs.
 
     The key pass.  Each pair is keyed by the circular distance between its
     two residues SPREAD * y mod M0, a function of the difference alone.  The
@@ -439,11 +441,12 @@ def _split_work(n_runs: int, n_families: int) -> int:
 def _run_items(blocks: tuple[list[int], np.ndarray, np.ndarray], runs: np.ndarray,
                families: list[tuple[int, int, int, int, int]]) -> tuple[list, list]:
     """The run items of the ``_blocks`` record whose blocks ``runs`` are the
-    runs, beside the ``families`` of its points: the shapes (base, segments,
-    cell), a ramp per run and a trapezoid per two runs, each r_R = value +
-    slope * e on the segments (first e, last e, value, slope) of
-    e = d - base; and the box groups (a, sign, L, (lo, hi), cell), one per
-    run and family, whose boxes are [a + sign 2^i, a + sign 2^i + L)."""
+    runs, beside the ``families`` of its points, with what ``_screen`` reads:
+    the shapes (first, last, base, segments, cell) by first, a ramp per run
+    and a trapezoid per two runs, r_R = value + slope * e for d in [first,
+    last] on the segments (first e, last e, value, slope) of e = d - base;
+    and per run and family the boxes [a + sign 2^i, top + sign 2^i] of width
+    L, (a, top, bits(L - 1), sign, L, (lo, hi), cell)."""
     firsts, lengths, block_cells = blocks
     runs = [(firsts[b], int(lengths[b]), int(block_cells[b]), b) for b in runs.tolist()]
     shapes = []
@@ -451,11 +454,13 @@ def _run_items(blocks: tuple[list[int], np.ndarray, np.ndarray], runs: np.ndarra
         shapes.append((0, ((1, lv - 1, lv, -1),), v_cell))
         shapes += [(u - v, _trapezoid_segments(lu, lv), max(u_cell, v_cell))
                    for u, lu, u_cell, _ in runs[x + 1:]]
+    shapes = sorted((base + segments[0][0], base + segments[-1][1], base, segments, cell)
+                    for base, segments, cell in shapes)
     # a member b + 2^i below the run meets it at u - b - 2^i + [0, L), one
     # above it at b + 2^i - u - [0, L)
-    boxes = [(u - b, -1, length, (lo, hi), max(cell, f_cell)) if f_block < block
-             else (b - u - length + 1, 1, length, (lo, hi), max(cell, f_cell))
-             for u, length, cell, block in runs for b, lo, hi, f_cell, f_block in families]
+    boxes = [(a, a + length - 1, (length - 1).bit_length(), sign, length, (lo, hi), max(cell, fc))
+             for u, length, cell, block in runs for b, lo, hi, fc, f_block in families
+             for a, sign in [(u - b, -1) if f_block < block else (b - u - length + 1, 1)]]
     return shapes, boxes
 
 
@@ -475,11 +480,9 @@ def _run_square_sums(n_cells: int, shapes: list, boxes: list) -> list[int]:
     product (twice for two items), at the later cell of the two."""
     out = [0] * n_cells
     # shapes against shapes, where their supports overlap
-    spans = sorted((base + segments[0][0], base + segments[-1][1], base, segments, cell)
-                   for base, segments, cell in shapes)
-    for x, (_, last, base, segments, cell) in enumerate(spans):
-        for y in range(x, len(spans)):
-            first2, _, base2, segments2, cell2 = spans[y]
+    for x, (_, last, base, segments, cell) in enumerate(shapes):
+        for y in range(x, len(shapes)):
+            first2, _, base2, segments2, cell2 = shapes[y]
             if first2 > last:
                 break
             shift = base2 - base
@@ -487,11 +490,13 @@ def _run_square_sums(n_cells: int, shapes: list, boxes: list) -> list[int]:
                                      v2 - s2 * shift, s2)
                         for e1, e2, v, s in segments for f1, f2, v2, s2 in segments2)
             out[max(cell, cell2)] += total if y == x else 2 * total
-    for x, (a, sign, length, i_range, cell) in enumerate(boxes):
-        # the boxes that meet a shape's support [first, last]: sign 2^i in
-        # [first - top, last - a], with top = a + L - 1
-        top = a + length - 1
-        for first, last, base, segments, cell2 in spans:
+    lasts, widths = _keys(shape[1] for shape in shapes), [shape[1] - shape[0] for shape in shapes]
+    tops, lengths = _keys(box[1] for box in boxes), [box[4] for box in boxes]
+    for x, (a, top, _, sign, length, i_range, cell) in enumerate(boxes):
+        # the boxes that meet a shape's support [first, last]: -sign 2^i in
+        # [a - last, top - first], a window of width (last - first) + L - 1
+        for first, last, base, segments, cell2 in _screen(
+                shapes, a, lasts, map(int.bit_length, map((length - 1).__add__, widths)), 2):
             exponents = (_exponents(first - top, last - a, i_range) if sign > 0
                          else _exponents(a - last, top - first, i_range))
             if exponents:
@@ -499,39 +504,29 @@ def _run_square_sums(n_cells: int, shapes: list, boxes: list) -> list[int]:
                 out[max(cell, cell2)] += 2 * sum(
                     _segment_dot(max(e1, start), min(e2, start + length - 1), v, s, 1, 0)
                     for start in starts for e1, e2, v, s in segments)
-        # box groups against box groups: boxes i and l of widths L and L' at
-        # offset e = delta + sign' 2^l - sign 2^i meet in the trapezoid
-        # min(e + L', L - e, L, L') on -L' < e < L
-        for y in range(x, len(boxes)):
-            a2, sign2, length2, l_range, cell2 = boxes[y]
-            if _misses(1 - length2, length - 1, a2 - a, sign2):
-                continue
-            # e = delta + sign' v for v = 2^l - 2^i on one side, 2^l + 2^i across
-            window = (partial(_pair_window, l_range, i_range, positive=False) if sign == sign2
-                      else partial(_sum_window, l_range, i_range))
-            total = _window_sum(_trapezoid_segments(length, length2), a2 - a, sign2, window)[0]
+        # box groups against box groups: boxes i and l meet where sign' v, v =
+        # 2^l -+ 2^i, is in [a - top', top - a'], in the trapezoid min(e + L',
+        # L - e, L, L') on -L' < e < L of e = delta + sign' v
+        for y in _screen(range(x, len(boxes)), a, tops[x:],
+                         map(int.bit_length, map((length - 2).__add__, lengths[x:])), 3):
+            a2, _, _, sign2, length2, l_range, cell2 = boxes[y]
+            segments = _trapezoid_segments(length, length2)
+            total = (_window_sum(segments, a2 - a, sign2, _pair_window, l_range, i_range, False)
+                     if sign == sign2 else
+                     _window_sum(segments, a2 - a, sign2, _sum_window, l_range, i_range))[0]
             out[max(cell, cell2)] += total if y == x else 2 * total
     return out
 
 
-def _misses(first: int, last: int, delta: int, sign: int) -> bool:
-    """Whether no v = +-2^x +- 2^y puts e = delta + sign v in [first, last]
-    by the weight test: with 2^k at least the width, the terms of such a v
-    from 2^k on sum to 2^k H with (start of the window of v) >> k within 2
-    of H, so its NAF weight is at most 3 when some v lies in it."""
-    start = first - delta if sign > 0 else delta - last
-    return _naf_weight(start >> (last - first).bit_length()) > 3
-
-
-def _window_sum(segments, delta: int, sign: int, window) -> tuple[int, int]:
-    """The sum over the values v that ``window(lo, hi)`` counts (it returns
-    their count and sum within [lo, hi]) of the function of the
-    ``segments`` (first e, last e, value at 0, slope) at e = delta + sign v,
-    and the number of those v on a segment."""
+def _window_sum(segments, delta, sign, window, x_range, y_range, *flags) -> tuple[int, int]:
+    """The sum over the values v that ``window(x_range, y_range, lo, hi,
+    *flags)`` counts (it returns their count and sum within [lo, hi]) of the
+    function of the ``segments`` (first e, last e, value at 0, slope) at
+    e = delta + sign v, and the number of those v on a segment."""
     total = hits = 0
     for e1, e2, value, slope in segments:
-        count, value_sum = window(e1 - delta, e2 - delta) if sign > 0 else window(delta - e2,
-                                                                                delta - e1)
+        lo, hi = (e1 - delta, e2 - delta) if sign > 0 else (delta - e2, delta - e1)
+        count, value_sum = window(x_range, y_range, lo, hi, *flags)
         total += count * (value + slope * delta) + sign * slope * value_sum
         hits += count
     return total, hits
@@ -748,46 +743,34 @@ class _Families:
             else:
                 shared = _span(max(lo1, lo2), min(hi1, hi2))
                 out[c] += (hi1 - lo1 + 1) * (hi2 - lo2 + 1) - shared + shared * shared
+        deltas = _keys(s[0] for s in sets)
         for x, (d1, i1, l1, diagonal1, c1) in enumerate(sets):
-            for d2, i2, l2, diagonal2, c2 in sets[x + 1:]:
-                delta = d2 - d1
-                if _naf_weight(delta) > 4:
-                    continue
+            # d1 - d2 is a signed sum of four powers of two
+            for d2, i2, l2, diagonal2, c2 in _screen(sets[x + 1:], d1, deltas[x + 1:], repeat(0),
+                                                     4):
                 self.kept += 1
-                count = _count4(i1, l1, i2, l2, delta)
+                count = _count4(i1, l1, i2, l2, d2 - d1)
                 if diagonal1 and diagonal2:
                     count = (count - (i1[1] - i1[0] + 1) * (i2[1] - i2[0] + 1)) // 2
                 out[max(c1, c2)] += 2 * count
-        for box in boxes:
-            self._boxes(out, *box)
-        for shape in shapes:
-            self._trapezoid(out, *shape)
-        return np.array(out, dtype=object)
-
-    def _boxes(self, out: list[int], a: int, sign: int, length: int, m_range: tuple[int, int],
-               cell: int) -> None:
-        """Add twice the cross term with one box group: a point difference
-        in a box [a + sign 2^m, a + sign 2^m + L) meets the pair of the
-        family member at m with the run member it is from."""
-        for delta, i_range, l_range, diagonal, c in self.sets:
-            lo = a - delta
-            count = _box_hits(i_range, l_range, m_range, -sign, lo, lo + length - 1, diagonal)
-            if count:
+        # a set meets a box group where 2^i - 2^l - sign 2^m is in [a - delta,
+        # top - delta]: h + 1, h = (a - delta) >> shift, has weight <= 4
+        for a, top, shift, sign, _, m_range, cell in boxes:
+            for delta, i_range, l_range, diagonal, c in _screen(
+                    sets, a + (1 << shift), deltas, repeat(shift), 4):
+                count = _box_hits(i_range, l_range, m_range, -sign, a - delta, top - delta,
+                                  diagonal)
                 self.hits += count
                 out[max(c, cell)] += 2 * count
-
-    def _trapezoid(self, out: list[int], base: int, segments: list, cell: int) -> None:
-        """Add twice the cross term with one shape, a ramp or a trapezoid
-        given as segments (first e, last e, value at 0, slope) at
-        e = d - base."""
-        first, last = segments[0][0], segments[-1][1]
-        for delta, i_range, l_range, diagonal, c in self.sets:
-            if _misses(first, last, delta - base, 1):
-                continue
-            total, hits = _window_sum(segments, delta - base, 1,
-                                      partial(_pair_window, i_range, l_range, positive=diagonal))
-            self.hits += hits
-            out[max(c, cell)] += 2 * total
+        # and a shape where 2^i - 2^l is in [first - delta, last - delta]
+        for first, last, base, segments, cell in shapes:
+            for delta, i_range, l_range, diagonal, c in _screen(
+                    sets, first, deltas, repeat((last - first).bit_length()), 3):
+                total, hits = _window_sum(segments, delta - base, 1, _pair_window, i_range,
+                                          l_range, diagonal)
+                self.hits += hits
+                out[max(c, cell)] += 2 * total
+        return np.array(out, dtype=object)
 
 
 def _span(lo: int, hi: int) -> int:
@@ -795,10 +778,29 @@ def _span(lo: int, hi: int) -> int:
 
 
 def _naf_weight(m: int) -> int:
-    """The number of nonzero digits of the non-adjacent form of m, the
-    fewest signed powers of two that sum to m."""
-    m = abs(m)
-    return ((3 * m ^ m) >> 1).bit_count()
+    """The weight of the non-adjacent form (NAF) of m, the popcount of 3m ^ m."""
+    return (3 * m ^ m).bit_count()
+
+
+def _keys(values: Iterable[int]) -> list[tuple[int, int]]:
+    """Each value with its low bits (``_LOW``), as ``_screen`` reads them."""
+    return [(v, v & _LOW) for v in values]
+
+
+def _screen(items: Iterable, origin: int, keys: Iterable[tuple[int, int]],
+            shifts: Iterable[int], weight: int) -> list:
+    """The items whose h = (origin - value) >> shift, for their value in
+    ``keys`` (``_keys``) and their shift, has a NAF of at most ``weight``
+    digits: the one test of whether two items meet.  If [origin - value,
+    + w], w < 2^shift, holds k signed powers of two, summing to 2^shift H
+    from 2^shift on, then H - 1 <= h <= H or -2 <= h <= 0 for k = 1 (weight
+    2), H - 2 <= h <= H or -3 <= h <= 1 for k = 2 (3), H - 3 <= h <= H + 1
+    for k = 3 of both signs.  The low bits go first, in small ints: h mod 2^c
+    is r or r + 2^c, r the NAF digits of h below 2^c, so one digit more."""
+    low = origin & _LOW
+    return [item for item, (value, value_low), shift in zip(items, keys, shifts)
+            if (3 * (h := (low - value_low & _LOW) >> shift) ^ h).bit_count() <= weight + 1
+            and _naf_weight(origin - value >> shift) <= weight]
 
 
 def _naf_digits(m: int) -> list[int]:
@@ -921,6 +923,8 @@ def _sum_window(x_range, y_range, lo: int, hi: int) -> tuple[int, int]:
     the larger power 2^t lies in [v / 2, v), so bits(lo) - 2 <= t < bits(hi),
     and the other in [lo - 2^t, hi - 2^t]."""
     count = total = 0
+    if hi < 2:
+        return count, total
     # x the larger (or equal) exponent, then y the strictly larger one
     for big, small, strict in ((x_range, y_range, 0), (y_range, x_range, 1)):
         for t in range(max(big[0], max(lo, 2).bit_length() - 2),
@@ -940,55 +944,56 @@ def _exponents(lo: int, hi: int, e_range) -> range:
                  min(e_range[1], hi.bit_length() - 1) + 1)
 
 
+def _is_block(h: int) -> bool:
+    """Whether |h| is 0 or 2^a - 2^b, a run of ones, as 2^i - 2^l can be."""
+    h = abs(h)
+    h += h & -h
+    return not h & (h - 1)
+
+
 def _box_hits(i_range, l_range, m_range, sign: int, lo: int, hi: int, positive: bool) -> int:
     """#{(i, l, m) in the ranges : lo <= 2^i - 2^l + sign 2^m <= hi}, with
     i > l only when ``positive``.
 
     With 2^s > hi - lo and h = lo >> s, the terms at or above 2^s sum to
-    2^s H with H in h - 1 .. h + 3 of NAF weight at most 3; so a solution
-    needs NAF(h) of weight at most 5.  An m >= s that is not within 1 of a
-    digit of such an H leaves H - sign 2^(m-s) of weight 3 > 2 unless
-    NAF(H) has weight at most 1, and then the solution is one of the free
-    lines where m cancels a term (m = l with 2^i in the window, or m = i
-    with -2^l in it) or three terms sum to 0 (i = m = l - 1, or
-    l = m = i - 1).  So m runs over [0, s) when some H has weight at most
-    2, and over the digit neighbours; the free lines off those m are
-    counted in closed form."""
+    2^s H.  For m >= s the others are within 2^s of 0, so H is in h .. h + 2
+    of NAF weight at most 3, and H - sign 2^(m-s), what 2^i - 2^l adds from
+    2^s on, is a run of ones (``_is_block``).  An m >= s not within 1 of a
+    digit of H adds one to NAF(H)'s weight, so that is at most 1 and the
+    solution is a free line, where m cancels a term (m = l, 2^i in the
+    window; m = i, -2^l in it) or three terms sum to 0 (i = m = l - 1,
+    l = m = i - 1).  For m < s, H is a run of ones in h - 1 .. h + 2
+    (sign > 0) or h .. h + 3.  The windows of 2^i - 2^l are counted at each
+    such m, the free lines off them in closed form."""
+    t = max(i_range[1], l_range[1], m_range[1]) + 1  # every solution is within 2^t of 0
+    if lo >= 0 and lo.bit_length() > t or hi < 0 and (-hi).bit_length() > t:
+        return 0
     s = (hi - lo).bit_length()
     h = lo >> s
-    if _naf_weight(h) > 5:
-        return 0
+    tops = [top for top in range(h, h + 3) if _naf_weight(top) <= 3]
     m0, m1 = m_range
-    candidates: set[int] = set()
-    low = False
-    for top in range(h - 1, h + 4):
-        digits = _naf_digits(top)
-        if len(digits) <= 3:
-            low = low or len(digits) <= 2
-            candidates.update(s + e + k for e in digits for k in (-1, 0, 1)
-                              if m0 <= s + e + k <= m1)
-    if low:
-        candidates.update(range(m0, min(m1, s - 1) + 1))
+    below = min(m1, s - 1)
+    sweep = m0 <= below and any(map(_is_block, range(h - (sign > 0), h + 4 - (sign > 0))))
+    if not tops and not sweep:
+        return 0
+    candidates = {s + m for top in tops for e in _naf_digits(top) for m in (e - 1, e, e + 1)
+                  if m >= 0 and m0 <= s + m <= m1 and _is_block(top - (sign << m))}
+    candidates.update(range(m0, below + 1) if sweep else ())
     total = sum(_pair_window(i_range, l_range, lo - (sign << m), hi - (sign << m), positive)[0]
                 for m in candidates)
-
-    def free(first: int, last: int) -> int:
-        first, last = max(first, m0), min(last, m1)
-        return _span(first, last) - sum(first <= m <= last for m in candidates)
-
+    # the free lines, as ranges of m
     (i0, i1), (l0, l1) = i_range, l_range
-    if sign > 0:
-        if hi > 0:  # m = l, 2^i in [lo, hi]
-            for i in range(max(i0, (max(lo, 1) - 1).bit_length()), min(i1, hi.bit_length() - 1) + 1):
-                total += free(l0, min(l1, i - 1) if positive else l1)
-        if lo <= 0 <= hi and not positive:  # i = m = l - 1
-            total += free(max(i0, l0 - 1), min(i1, l1 - 1))
-    else:
-        if lo < 0:  # m = i, -2^l in [lo, hi]
-            for l in range(max(l0, (max(-hi, 1) - 1).bit_length()), min(l1, (-lo).bit_length() - 1) + 1):
-                total += free(max(i0, l + 1) if positive else i0, i1)
-        if lo <= 0 <= hi:  # l = m = i - 1
-            total += free(max(l0, i0 - 1), min(l1, i1 - 1))
+    if sign > 0:  # m = l with 2^i in [lo, hi]; i = m = l - 1
+        lines = [(l0, min(l1, i - 1) if positive else l1) for i in _exponents(lo, hi, i_range)]
+        if lo <= 0 <= hi and not positive:
+            lines.append((max(i0, l0 - 1), min(i1, l1 - 1)))
+    else:  # m = i with -2^l in [lo, hi]; l = m = i - 1
+        lines = [(max(i0, l + 1) if positive else i0, i1) for l in _exponents(-hi, -lo, l_range)]
+        if lo <= 0 <= hi:
+            lines.append((max(l0, i0 - 1), min(l1, i1 - 1)))
+    for first, last in lines:
+        first, last = max(first, m0), min(last, m1)
+        total += _span(first, last) - sum(first <= m <= last for m in candidates)
     return total
 
 

@@ -48,6 +48,14 @@ _THETA_MARGIN = 1.05
 _MAX_ILOG_DEPTH = 4  # log_5(x) > 0 needs x > e^e^e^e, which overflows doubles
 
 
+def _evaluated(raw, x: ArrayLike, x_min: float) -> ArrayLike:
+    """``raw`` at max(x, x_min): a float for a scalar or 0-d x, else an
+    array.  A scalar goes through the same ufuncs as an np.float64, with no
+    0-d array around it."""
+    out = raw(np.maximum(np.float64(x), x_min))
+    return out if isinstance(out, np.ndarray) else float(out)
+
+
 def _smallest_dyadic_above(raw, margin: float) -> float:
     """Smallest power of two where ``raw`` is defined and exceeds ``margin``."""
     for k in range(0, 1024):
@@ -97,8 +105,7 @@ class GrowthFunction:
     def _raw(self, x: ArrayLike) -> ArrayLike:
         if self.family == "pow":
             return np.power(x, self.a)
-        prod = np.ones_like(np.asarray(x, dtype=float))
-        lx = np.asarray(x, dtype=float)
+        prod, lx = 1.0, np.float64(x)
         for _ in range(self.r):
             lx = np.log(lx)
             prod = prod * lx
@@ -107,9 +114,7 @@ class GrowthFunction:
         return prod
 
     def __call__(self, x: ArrayLike) -> ArrayLike:
-        clamped = np.maximum(np.asarray(x, dtype=float), self.x_min)
-        out = self._raw(clamped)
-        return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+        return _evaluated(self._raw, x, self.x_min)
 
     @property
     def spec_string(self) -> str:
@@ -151,9 +156,7 @@ class ThetaFunction:
         return 1.0 + np.log(x)
 
     def __call__(self, x: ArrayLike) -> ArrayLike:
-        clamped = np.maximum(np.asarray(x, dtype=float), self.x_min)
-        out = self._raw(clamped)
-        return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+        return _evaluated(self._raw, x, self.x_min)
 
     @property
     def spec_string(self) -> str:
@@ -204,11 +207,11 @@ def parse_theta(text: str) -> ThetaFunction:
 
 def psi(f: GrowthFunction, theta: ThetaFunction, n: ArrayLike) -> ArrayLike:
     """Approximation radius at rank n: 1 / (n * f(n) * theta(n))."""
-    n_arr = np.asarray(n, dtype=float)
-    if np.any(n_arr < 1):
+    n = np.float64(n)
+    if (n < 1).any():
         raise ValueError("rank must be >= 1")
-    out = 1.0 / (n_arr * f(n_arr) * theta(n_arr))
-    return float(out) if np.isscalar(n) or np.ndim(n) == 0 else out
+    out = 1.0 / (n * f(n) * theta(n))
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def series_partial_sum(f: GrowthFunction, n_max: int, chunk: int = 1 << 20) -> float:

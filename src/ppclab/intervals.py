@@ -383,13 +383,21 @@ def interval_set_from_lines(lines: Iterable[str]) -> IntervalSet:
     return IntervalSet(pieces)
 
 
+def _interval_text(s: IntervalSet) -> str:
+    """The lines of ``interval_set_to_lines``, each ending in a newline."""
+    return "\n".join([*interval_set_to_lines(s), ""])
+
+
 def write_interval_set(path, s: IntervalSet, comment: str | None = None) -> None:
+    _write_interval_text(path, _interval_text(s), comment)
+
+
+def _write_interval_text(path, text: str, comment: str | None) -> None:
+    """Write an interval file: the ``comment`` lines after "# ", then the
+    interval lines of ``text`` (``_interval_text``), in one call."""
+    header = "".join(f"# {line}\n" for line in comment.splitlines()) if comment else ""
     with open(path, "w", encoding="ascii") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        for line in interval_set_to_lines(s):
-            fh.write(line + "\n")
+        fh.writelines((header, text))
 
 
 def read_interval_set(path) -> IntervalSet:

@@ -297,7 +297,8 @@ def _residues(alpha: Alpha, source: Source, n: int | None = None
     if q <= _U64_MODULUS and not q & (q - 1):
         # q divides 2**64, so the product may wrap mod 2**64 before the mask
         res = _words(source, n) * np.uint64(p)
-        res &= np.uint64(q - 1)
+        if q < _U64_MODULUS:
+            res &= np.uint64(q - 1)
         return res, q, None
     reduced = _reduced(source, n, q)
     if q <= _U32_MODULUS:  # p * (x mod q) < 2**64
@@ -521,10 +522,11 @@ def _statistics(
     check runs once, over the longest prefix that needs counting (a cell
     with 2s >= n covers the whole circle and needs none).  The words of
     that prefix come once from :func:`_residues`, of the elements or per
-    block of a block sequence, which it never forms.  Residues are sorted by
-    ``np.sort``, as a copy for each shorter prefix and in place for the
-    longest; top words through ``np.argsort``, whose order leads back to
-    the elements.  :func:`_count_within_u64` counts every limit of every s
+    block of a block sequence, which it never forms.  Residues are sorted
+    in place, prefix by prefix in increasing n (the fresh words of
+    ``_residues`` are read by nothing else); top words through
+    ``np.argsort``, whose order leads back to the elements, on words never
+    reordered.  :func:`_count_within_u64` counts every limit of every s
     from that sorted array; the cells then raise their ``PrecisionError``
     in (n, s) order.
     """
@@ -541,11 +543,10 @@ def _statistics(
             order = np.argsort(words[:n])
             sorted_words = words[order]
             exact_at = lambda k, order=order: exact(order[k])  # noqa: E731
-        elif n < top:
-            sorted_words = np.sort(words[:n])
         else:
-            words.sort()
-            sorted_words = words
+            # sorting a prefix in place keeps the members of every longer one
+            sorted_words = words[:n]
+            sorted_words.sort()
         cells = {s: _cell_limits(q, alpha, n, s) for s in s_values if 2 * s < n}
         limits = sorted({x for pair in cells.values() if pair for x in pair})
         counts = dict(zip(limits, _count_within_u64(sorted_words, q, limits, exact_at)))

@@ -75,17 +75,23 @@ class BlockParams:
 
     def a_len(self, j: int) -> int:
         """Length of the consecutive run at level j (0 at level 1)."""
-        if j == 1:
-            return 0
-        fj = self.f(2.0**j)
-        return math.floor(2.0**j * fj**-self.beta)
+        return self.lengths(j)[0]
 
     def g_len(self, j: int) -> int:
         """Number of geometric elements at level j (2 at level 1)."""
+        return self.lengths(j)[1]
+
+    def lengths(self, j: int) -> tuple[int, int]:
+        """(a_len(j), g_len(j)), from one value of f(2^j)."""
         if j == 1:
-            return 2
+            return 0, 2
         fj = self.f(2.0**j)
-        return math.floor(fj**-self.gamma * 2.0**j * (1.0 - fj ** (self.gamma - self.beta)))
+        return (math.floor(2.0**j * fj**-self.beta),
+                math.floor(fj**-self.gamma * 2.0**j * (1.0 - fj ** (self.gamma - self.beta))))
+
+    def levels(self) -> list[tuple[int, int]]:
+        """``lengths(j)`` for j = 2 .. j_max."""
+        return [self.lengths(j) for j in range(2, self.j_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -195,10 +201,14 @@ def estimate_build_bits(params: BlockParams) -> int:
     has about max(i, bits(C_j)) bits, and bits(C_j) is roughly the previous
     level's geometric length.
     """
+    return _build_bits(params.levels())
+
+
+def _build_bits(levels: list[tuple[int, int]]) -> int:
+    """``estimate_build_bits`` from the (a_len, g_len) of levels 2, 3, ..."""
     total = 64
     prev_g = 2
-    for j in range(2, params.j_max + 1):
-        la, lg = params.a_len(j), params.g_len(j)
+    for la, lg in levels:
         total += la * (prev_g + 64)  # consecutive run sits just above 2*max G
         total += lg * (prev_g + 64) + lg * (lg + 1) // 2
         if lg:
@@ -232,8 +242,9 @@ def build_blocks(
     than stored twice.
     """
     params = BlockParams(f=f, beta=beta, gamma=gamma, j_max=j_max)
+    levels = params.levels()
     if max_total_bits is not None:
-        est = estimate_build_bits(params)
+        est = _build_bits(levels)
         if est > max_total_bits:
             raise BudgetError(
                 f"estimated {est} element bits exceed the budget of "
@@ -250,8 +261,7 @@ def build_blocks(
     # longest consecutive tail [tail, top] of the storage
     stored, top, tail = 2, 2, 1
 
-    for j in range(2, j_max + 1):
-        la, lg = params.a_len(j), params.g_len(j)
+    for j, (la, lg) in enumerate(levels, start=2):
         c = 2 * last_g_max
 
         # consecutive run [c, c + la)

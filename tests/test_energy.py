@@ -423,3 +423,30 @@ def test_energy_scaling_checks_levels_before_any_work(monkeypatch):
     for level in (0, 7):
         with pytest.raises(ValueError, match=rf"^level {level} outside built range 1\.\.6$"):
             energy_scaling(seq, levels=[level, 3], max_pairs=1)
+
+
+# One pass over the blocks, levels 1 .. j as its cells: every energy and the
+# whole split dict, whose cross hits and kept set pairs count what the run
+# items and the families met, however their pairs were screened.
+BLOCK_PASSES = {
+    (0.7, 0.45, 12): (
+        [6, 36, 122, 590, 7855, 48608, 272254, 1438468, 8180140, 48692268, 301697116,
+         1939757518],
+        {"runs": 12, "points": 1297, "point_pairs": 0, "pieces": 186, "cross_hits": 2746,
+         "families": 8, "family_members": 1296, "sets": 45, "set_pairs": 990,
+         "set_pairs_kept": 147}),
+    (2 / 3, 1 / 3, 16): (
+        [6, 36, 179, 2202, 11314, 58713, 302351, 1632646, 9520184, 57591496, 363938671,
+         2379482163, 15910340538, 108284966631, 746912047735, 5209418386166],
+        {"runs": 16, "points": 32501, "point_pairs": 0, "pieces": 360, "cross_hits": 6778,
+         "families": 13, "family_members": 32500, "sets": 105, "set_pairs": 5460,
+         "set_pairs_kept": 275}),
+}
+
+
+@pytest.mark.parametrize("beta, gamma, j_max", sorted(BLOCK_PASSES))
+def test_block_pass_energies_and_split_are_pinned(beta, gamma, j_max):
+    seq = build_blocks(GrowthFunction("ilog", r=1), beta, gamma, j_max)
+    ns = [seq.checkpoint(j) for j in range(1, j_max + 1)]
+    energies, split = energy._energies(seq.elements, ns)
+    assert (energies, split) == BLOCK_PASSES[beta, gamma, j_max]

@@ -345,6 +345,36 @@ def test_window_counts_match_brute_force(data):
     assert energy._pair_window(i, l, lo, hi, positive) == (len(inside), sum(inside))
 
 
+@pytest.mark.parametrize("terms", [1, 2, 3])
+@given(data=st.data())
+def test_screen_passes_every_window_that_holds_a_sum(terms, data):
+    # the bounds of the callers of _screen: +-2^x (a box group and a shape)
+    # at weight 2, +-2^x +- 2^y (two box groups, a shape and a set) at 3,
+    # and 2^x - 2^y +- 2^z (a box group and a set) at 4, started 2^shift
+    # lower; a window that holds such a sum, within 2^64 or past it (where
+    # the low bits alone are read first), is never screened out
+    ranges = [data.draw(exponents(lo_max=90, width=10)) for _ in range(terms)]
+    signs = [data.draw(st.sampled_from([1, -1])) for _ in range(terms)]
+    if terms == 3:
+        signs[:2] = [1, -1]
+    values = [0]
+    for r, sign in zip(ranges, signs):
+        values = [v + sign * (1 << x) for v in values for x in spread(r)]
+    start = data.draw(targets(values) | st.integers(0, 40).map(lambda k: 1 << k)) - data.draw(
+        st.integers(0, 64))
+    width = data.draw(st.integers(0, 5000))
+    shift = width.bit_length()
+    origin, weight = [(start, 2), (start, 3), (start + (1 << shift), 4)][terms - 1]
+    held = any(start <= v <= start + width for v in values)
+    assert not held or energy._screen([start], origin, energy._keys([0]), [shift], weight)
+
+
+def test_blocks_are_the_runs_of_ones_and_their_negatives():
+    blocks = {sign * ((1 << a) - (1 << b)) for a in range(14) for b in range(a + 1)
+              for sign in (1, -1)}
+    assert all(energy._is_block(h) == (h in blocks) for h in range(-5000, 5001))
+
+
 @given(data=st.data())
 def test_sum_window_matches_brute_force(data):
     x, y = (data.draw(exponents(lo_max=30, width=14)) for _ in range(2))

@@ -243,3 +243,21 @@ def test_parse_errors():
             parse_growth(bad)
     with pytest.raises(ValueError):
         parse_theta("two_plus_log")
+
+
+@pytest.mark.parametrize("spec", ["ilog(1)", "ilog(2)", "ilog(3)", "ilog_eps(2, 0.5)",
+                                  "pow(1/3)"])
+def test_scalar_values_are_the_array_values_bit_for_bit(spec):
+    f = parse_growth(spec)
+    grid = np.concatenate((np.geomspace(0.25, 1e15, 3001), 2.0 ** np.arange(60),
+                           np.arange(1.0, 300.0)))
+    ranks = grid[grid >= 1]
+
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    assert bits(f(x) for x in grid.tolist()) == bits(f(grid))
+    assert all(type(f(x)) is float for x in (3, 3.0, np.float64(3.0), np.array(3.0)))
+    for theta in (parse_theta("one_plus_log"), parse_theta("pow(0.2)")):
+        assert bits(theta(x) for x in grid.tolist()) == bits(theta(grid))
+        assert bits(psi(f, theta, x) for x in ranks.tolist()) == bits(psi(f, theta, ranks))
