@@ -174,6 +174,10 @@ def _p_kv_tokens(tok: str) -> dict[str, str]:
 
 # -- experiment schema ---------------------------------------------------------------
 
+# points one run may reduce to residue words: the default of mc.max_points,
+# and the fixed cap of pc and probe on their longest prefix
+MAX_POINTS = 50_000_000
+
 
 @dataclass(frozen=True)
 class Param:
@@ -242,7 +246,7 @@ EXPERIMENTS: dict[str, list[Param]] = {
         Param("mc.s", "--s", _p_frac_list, default="1"),
         Param("mc.seed", "--seed", _p_int, required=True),
         Param("mc.delta", "--delta", _p_float, default="0.5"),
-        Param("mc.max_points", "--max-points", _p_budget, default="50000000"),
+        Param("mc.max_points", "--max-points", _p_budget, default=str(MAX_POINTS)),
         Param("out.csv", "--csv", _p_str, required=True),
     ],
     "bohr": [
@@ -454,9 +458,25 @@ def _run_scaling(p: dict[str, object], ctx: RunContext) -> None:
     ctx.finish(notes={"spread": result.spread, "energy_split": dict(result.split)})
 
 
+def _check_points(points: int, what: str, cap: int = MAX_POINTS, key: str = "") -> None:
+    """Refuse a run that would reduce more than ``cap`` points to residue
+    words, before any is formed; ``key`` names the budget's setting."""
+    if points > cap:
+        named = f" ({key})" if key else ""
+        raise BudgetError(f"about {points} {what} requested, over the budget of {cap}{named}")
+
+
 def _run_pc(p: dict[str, object], ctx: RunContext) -> None:
+    # the size is known before any load from pc.n or a classic family's seq.n
+    n = p["pc.n"]
+    if n is None and p.get("seq.file") is None and p.get("seq.family") in _CLASSIC:
+        n = p.get("seq.n")
+    if n is not None:
+        _check_points(n, "residue words")
     seq = _load_sequence(p)
-    n = p["pc.n"] if p["pc.n"] is not None else len(seq)
+    if n is None:
+        n = len(seq)
+        _check_points(n, "residue words")
     r = pair_correlation(seq, p["pc.alpha"], n, p["pc.s"])
     print(f"alpha = {p['pc.alpha'].label()}")
     print(f"N = {n}, s = {p['pc.s']}")
@@ -508,6 +528,7 @@ def _run_probe(p: dict[str, object], ctx: RunContext) -> None:
     levels = p["probe.levels"]
     s = p["probe.s"]
     alpha, notes = _probe_alpha(p, seq, system, levels, s)
+    _check_points(max(seq.checkpoint(j) for j in sorted(set(levels))), "residue words")
     traj = divergence_probe(seq, alpha, s, levels, system)
     header = ["level", "N", "s", "R", "predicted"]
     rows = [
@@ -526,11 +547,7 @@ def _run_mc(p: dict[str, object], ctx: RunContext) -> None:
     # the grid monte_carlo_ppc samples: both lists sorted, repeats dropped
     schedule, s_values = sorted(set(p["mc.schedule"])), sorted(set(p["mc.s"]))
     points = p["mc.trials"] * sum(schedule) * len(s_values)
-    if points > p["mc.max_points"]:
-        raise BudgetError(
-            f"about {points} sampled points requested, over the budget of "
-            f"{p['mc.max_points']} (mc.max_points)"
-        )
+    _check_points(points, "sampled points", p["mc.max_points"], "mc.max_points")
     seq = _load_sequence(p)
     result = monte_carlo_ppc(
         seq,

@@ -170,9 +170,7 @@ def _dilation(alpha: Alpha, source: Source, n: int) -> tuple[int, int]:
     if alpha.mode == "rational":
         return alpha.num, alpha.den
     if isinstance(source, BlockSequence):  # increasing and positive: the last
-        widest = 0
-        for geometric, base, lo, hi in _parts(source, n):
-            widest = base + (1 << (hi - 1)) if geometric else base + hi - 1
+        widest = source.top(n) if n else 0
     else:
         widest = int(max(map(abs, islice(source, n)), default=0))
     need = widest.bit_length() + alpha.guard
@@ -196,16 +194,6 @@ _SEARCH_CHUNK = 1 << 16
 _DENSE_ROUNDS = 4
 
 
-def _parts(seq: BlockSequence, n: int) -> Iterator[tuple[bool, int, int, int]]:
-    """``seq.own_parts()`` through its first n members, the last part cut."""
-    for geometric, base, lo, hi in seq.own_parts():
-        if n <= 0:
-            return
-        hi = min(hi, lo + n)
-        n -= hi - lo
-        yield geometric, base, lo, hi
-
-
 def _block_reduced(seq: BlockSequence, n: int, q: int) -> np.ndarray | Iterator[int]:
     """x mod q for the first n members of ``seq``, per block: the base
     reduced once, plus k for a run member base + k, plus 2^k mod q by
@@ -215,7 +203,7 @@ def _block_reduced(seq: BlockSequence, n: int, q: int) -> np.ndarray | Iterator[
     if q > _U32_MODULUS and q != _U64_MODULUS:
         return _block_reduced_ints(seq, n, q)
     words = [np.empty(0, dtype=np.uint64)]
-    for geometric, base, lo, hi in _parts(seq, n):
+    for geometric, base, lo, hi in seq.parts(n):
         if not geometric:
             steps = np.arange(lo, hi, dtype=np.uint64)
         elif q == _U64_MODULUS:
@@ -234,7 +222,7 @@ def _block_reduced(seq: BlockSequence, n: int, q: int) -> np.ndarray | Iterator[
 
 def _block_reduced_ints(seq: BlockSequence, n: int, q: int) -> Iterator[int]:
     """:func:`_block_reduced` in Python ints, for any q."""
-    for geometric, base, lo, hi in _parts(seq, n):
+    for geometric, base, lo, hi in seq.parts(n):
         b = base % q
         for step in _doublings(lo, hi, q) if geometric else range(lo, hi):
             yield (b + step) % q
@@ -290,8 +278,10 @@ def _residues(alpha: Alpha, source: Source, n: int | None = None
     = ceil(p * 2**(64 + k) / q): exact at k = b - 64 for q = 2**b, and at
     k = 2 bits(q) for any q, where the error term (x % q) * (c - p * 2**(64
     + k) / q) / 2**k < q / 2**k stays below 1/q, the spacing of r * 2**64 /
-    q; the resolver reads the kept x mod q.  :func:`_words` may stand in for
-    the elements only under a rational alpha with power-of-two q <= 2**64."""
+    q.  The resolver reduces the member at the index again; a block
+    sequence, which has no member to index, keeps its x mod q for it.
+    :func:`_words` may stand in for the elements only under a rational
+    alpha with power-of-two q <= 2**64."""
     n = len(source) if n is None else n
     p, q = _dilation(alpha, source, n)
     if q <= _U64_MODULUS and not q & (q - 1):
@@ -308,11 +298,15 @@ def _residues(alpha: Alpha, source: Source, n: int | None = None
     if q <= _U64_MODULUS:
         words = ((p * r) % q for r in reduced)
         return np.fromiter(words, dtype=np.uint64, count=n), q, None
-    reduced = list(reduced)
+    if isinstance(source, BlockSequence):  # no element to read again: keep x mod q
+        reduced = list(reduced)
+        at = reduced.__getitem__
+    else:
+        at = lambda i: int(source[i]) % q  # noqa: E731
     k = q.bit_length() - 65 if not q & (q - 1) else 2 * q.bit_length()
     scaled, mask = -(-(p << (64 + k)) // q), _U64_MODULUS - 1
     words = np.fromiter((r * scaled >> k & mask for r in reduced), dtype=np.uint64, count=n)
-    return words, q, lambda i: p * reduced[i] % q
+    return words, q, lambda i: p * at(i) % q
 
 
 def _search_rest(sorted_res: np.ndarray, q: int, limit: int, anchors: np.ndarray) -> int:

@@ -11,11 +11,14 @@ below the classical threshold.
 Elements grow doubly exponentially (the top G element at level j has on the
 order of 2^j bits), so everything is plain Python big integers.  A block
 sequence holds its blocks, each a run C + [0, L) or a family 2C + 2^i, and
-forms its element list from them only when asked for it.  Classic
-comparison families (identity, powers, primes, lacunary) live here too,
-held as int64 words while their members fit one, as does the
-one-integer-per-line file format shared with the CLI, whose block files one
-chunk generator writes and checks.
+forms its element list from them only when asked for it.  Each bit budget
+sits where its bits are formed, against one cap ``MAX_BITS``: the build
+charges the C_j it holds, and the element list, a truncation and a block
+file each charge the members they form, from the parts of the blocks, before
+forming any.  Classic comparison families (identity, powers, primes,
+lacunary) live here too, held as int64 words while their members fit one,
+as does the one-integer-per-line file format shared with the CLI, whose
+block files one chunk generator writes and checks.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ __all__ = [
     "classic",
     "truncate",
     "max_element_bits",
-    "estimate_build_bits",
     "write_sequence",
     "read_sequence",
     "load_sequence",
@@ -119,8 +121,9 @@ class Block:
 @dataclass(frozen=True)
 class BlockSequence:
     """The blocks of the construction and their checkpoints.  The element
-    list is formed from the blocks on first access and kept; ``len()``,
-    the block files and the residues of ``paircorr`` read the blocks."""
+    list is formed from the blocks on first access, once its bits are
+    within ``MAX_BITS``, and kept; ``len()``, the block files, truncations
+    and the residues of ``paircorr`` read the blocks."""
 
     params: BlockParams
     blocks: tuple[Block, ...]
@@ -131,16 +134,7 @@ class BlockSequence:
 
     @cached_property
     def elements(self) -> list[int]:
-        elements: list[int] = []
-        for geometric, base, lo, hi in self.own_parts():
-            if geometric:
-                elements.extend(base + (1 << i) for i in range(lo, hi))
-            else:
-                elements.extend(range(base + lo, base + hi))
-        for a, b in zip(elements, elements[1:]):
-            if a >= b:  # defensive: the invariant every consumer relies on
-                raise AssertionError("construction produced a non-increasing list")
-        return elements
+        return _members(self.own_parts())
 
     def own_parts(self) -> Iterator[tuple[bool, int, int, int]]:
         """The members each block adds to the union, in storage order, as
@@ -160,6 +154,22 @@ class BlockSequence:
             else:  # the shared members are the least, 2c + 2^i for i <= len(shared)
                 yield True, 2 * b.c, len(b.shared) + 1, b.length + 1
             done = hi
+
+    def parts(self, n: int) -> Iterator[tuple[bool, int, int, int]]:
+        """``own_parts()`` through the first n members, the last part cut."""
+        for geometric, base, lo, hi in self.own_parts():
+            if n <= 0:
+                return
+            hi = min(hi, lo + n)
+            n -= hi - lo
+            yield geometric, base, lo, hi
+
+    def top(self, n: int) -> int:
+        """The largest of the first n >= 1 members: the last one, read from
+        the top of the last part."""
+        for geometric, base, _, hi in self.parts(n):
+            pass
+        return _part_top(geometric, base, hi)
 
     def checkpoint(self, j: int) -> int:
         if not (1 <= j <= self.params.j_max):
@@ -193,41 +203,62 @@ class BlockSequence:
 
 SequenceLike = Union[BlockSequence, "ClassicSequence", Sequence[int]]
 
-
-def estimate_build_bits(params: BlockParams) -> int:
-    """Cheap upper estimate of the total bits stored by build_blocks.
-
-    The binding term is the geometric blocks: the i-th element at level j
-    has about max(i, bits(C_j)) bits, and bits(C_j) is roughly the previous
-    level's geometric length.
-    """
-    return _build_bits(params.levels())
+# the bits any one charge admits: the C_j of a build, or the members of one
+# element list or block file.  1 GiB of raw bits, far above anything the
+# experiments need, turns an accidental j_max into a clean refusal instead
+# of running out of memory.
+MAX_BITS = 1 << 33
 
 
-def _build_bits(levels: list[tuple[int, int]]) -> int:
-    """``estimate_build_bits`` from the (a_len, g_len) of levels 2, 3, ..."""
-    total = 64
-    prev_g = 2
-    for la, lg in levels:
-        total += la * (prev_g + 64)  # consecutive run sits just above 2*max G
-        total += lg * (prev_g + 64) + lg * (lg + 1) // 2
-        if lg:
-            prev_g = max(prev_g, lg)
+def _part_top(geometric: bool, base: int, hi: int) -> int:
+    """The largest member of the part (geometric, base, lo, hi)."""
+    return base + (1 << (hi - 1)) if geometric else base + hi - 1
+
+
+def _charge_elements(parts: Iterable[tuple[bool, int, int, int]]) -> int:
+    """The bits of the members of ``parts``, counted as each part's size
+    times the bits of its largest member; refused when they exceed
+    ``MAX_BITS``, before a list or a file of them is formed."""
+    bits = sum((hi - lo) * _part_top(geometric, base, hi).bit_length()
+               for geometric, base, lo, hi in parts)
+    if bits > MAX_BITS:
+        raise BudgetError(
+            f"about {bits} element bits exceed the budget of {MAX_BITS} for one "
+            "element list or file; lower j_max or the prefix"
+        )
+    return bits
+
+
+def _members(parts: Iterable[tuple[bool, int, int, int]]) -> list[int]:
+    """The members of ``parts`` (of ``BlockSequence.own_parts``) as one
+    list, once :func:`_charge_elements` admits them."""
+    parts = list(parts)
+    _charge_elements(parts)
+    elements: list[int] = []
+    for geometric, base, lo, hi in parts:
+        if geometric:
+            elements.extend(base + (1 << i) for i in range(lo, hi))
+        else:
+            elements.extend(range(base + lo, base + hi))
+    for a, b in zip(elements, elements[1:]):
+        if a >= b:  # defensive: the invariant every consumer relies on
+            raise AssertionError("construction produced a non-increasing list")
+    return elements
+
+
+def _c_bits(levels: list[tuple[int, int]]) -> int:
+    """An upper bound on the bits of C_2, C_3, ... from the (a_len, g_len)
+    of levels 2, 3, ...: C_j = 4 C_i + 2^(g_len(i) + 1) for the last level
+    i < j with a geometric member, so bits(C_j) <= 3j + the largest g_len
+    below j."""
+    total, widest = 0, 2  # level 1 holds {1, 2}
+    for j, (_, lg) in enumerate(levels, start=2):
+        total += widest + 3 * j
+        widest = max(widest, lg)
     return total
 
 
-# 1 GiB of raw element bits; far above anything the experiments need, but it
-# turns an accidental j_max=25 into a clean refusal instead of an OOM
-DEFAULT_MAX_BUILD_BITS = 1 << 33
-
-
-def build_blocks(
-    f: GrowthFunction,
-    beta: float,
-    gamma: float,
-    j_max: int,
-    max_total_bits: int | None = DEFAULT_MAX_BUILD_BITS,
-) -> BlockSequence:
+def build_blocks(f: GrowthFunction, beta: float, gamma: float, j_max: int) -> BlockSequence:
     """Build the interleaved block sequence through level ``j_max``.
 
     Level 1 is the seed {1, 2} (geometric, empty consecutive run).  At level
@@ -240,16 +271,20 @@ def build_blocks(
     blocks were empty in between) only contributes its new integers, and a
     geometric member that lands inside the run is recorded as shared rather
     than stored twice.
+
+    The blocks hold their C_j and form no member.  C_j has about g_len(j - 1)
+    bits, so the build charges an upper bound on their bits (``_c_bits``),
+    from the level lengths, against ``MAX_BITS`` before it forms any; the
+    members are charged where a list or a file of them is formed.
     """
     params = BlockParams(f=f, beta=beta, gamma=gamma, j_max=j_max)
     levels = params.levels()
-    if max_total_bits is not None:
-        est = _build_bits(levels)
-        if est > max_total_bits:
-            raise BudgetError(
-                f"estimated {est} element bits exceed the budget of "
-                f"{max_total_bits}; lower j_max or raise the budget"
-            )
+    bits = _c_bits(levels)
+    if bits > MAX_BITS:
+        raise BudgetError(
+            f"about {bits} bits of C_j through level {j_max} exceed the budget "
+            f"of {MAX_BITS}; lower j_max"
+        )
 
     blocks: list[Block] = [
         Block(level=1, kind="A", start_index=0, length=0),
@@ -416,14 +451,18 @@ def as_elements(seq: SequenceLike) -> Sequence[int]:
 
 
 def truncate(seq: SequenceLike, n: int) -> Sequence[int]:
-    """The first n elements; refuses to silently pad a too-short sequence."""
-    elems = as_elements(seq)
-    if not (0 <= n <= len(elems)):
-        raise ValueError(f"truncation length {n} outside 0..{len(elems)}")
-    return elems[:n]
+    """The first n elements; refuses to silently pad a too-short sequence.
+    A block sequence forms only those n, from its parts."""
+    if not (0 <= n <= len(seq)):
+        raise ValueError(f"truncation length {n} outside 0..{len(seq)}")
+    if isinstance(seq, BlockSequence):
+        return _members(seq.parts(n))
+    return as_elements(seq)[:n]
 
 
 def max_element_bits(seq: SequenceLike) -> int:
+    if isinstance(seq, BlockSequence):  # increasing: the last member
+        return seq.top(len(seq)).bit_length()
     elems = as_elements(seq)
     if not elems:
         raise ValueError("empty sequence has no maximum")
@@ -458,6 +497,7 @@ def write_sequence(path, seq: SequenceLike, meta: dict[str, str] | None = None) 
     write that fails removes the file it started.  A block sequence's lines
     come from its construction (``_block_chunks``)."""
     if isinstance(seq, BlockSequence):
+        _charge_elements(seq.own_parts())
         meta = block_meta(seq) if meta is None else meta
         body = _block_chunks(seq)
     else:

@@ -21,7 +21,7 @@ import ppclab.cli
 from ppclab.cli import EXPERIMENTS, main
 from ppclab.energy import ap_energy_closed_form, energy_scaling
 from ppclab.growth import GrowthFunction
-from ppclab.sequences import build_blocks, read_sequence
+from ppclab.sequences import BlockSequence, build_blocks, read_sequence
 
 ILOG1 = GrowthFunction("ilog", r=1)
 ROOT = Path(__file__).resolve().parent.parent
@@ -345,7 +345,7 @@ def test_budget_refusals_come_before_the_sequence_is_loaded(tmp_path, monkeypatc
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_budget_refusals_return_within_a_second(tmp_path, capsys):
+def test_budget_refusals_return_within_a_second(tmp_path, monkeypatch, capsys):
     # a refusal on the elements alone, 16 operations each, before the set is
     # built; then refusals on the work charged from the reduced set, where
     # the elements alone are within the budget: run-free primes (their key
@@ -378,12 +378,32 @@ def test_budget_refusals_return_within_a_second(tmp_path, capsys):
     assert "about 534553 pair operations" in capsys.readouterr().err
     assert not (tmp_path / "t12.csv").exists()
     assert run_cli(*t12, 534553) == 0
-    # the mc, build-seq and bohr refusals of test_budget_refusals_exit_4
+    # the mc, build-seq and bohr refusals of test_budget_refusals_exit_4,
+    # the element list of T_19 that scaling would form, the C_j through
+    # T_40, and the residue words of pc and probe over MAX_POINTS = 5 * 10^7:
+    # 6 * 10^7 identity members, refused before classic builds them, and
+    # the 51907929 members of T_26, before any residue is formed
+    def never(*args):
+        raise AssertionError("the refused work was started")
+
+    monkeypatch.setattr(ppclab.cli, "classic", never)
+    monkeypatch.setattr(ppclab.cli, "divergence_probe", never)
+    blocks = ["--family", "blocks", "--f", "ilog(1)", "--beta", "2/3", "--gamma", "1/3"]
     others = [(["mc", "--family", "power", "--seq-n", 500, "--trials", 10, "--schedule", 500,
                 "--seed", 1, "--max-points", 100, "--csv", tmp_path / "x.csv"],
                "about 5000 sampled points"),
-              (["build-seq", "--f", "ilog(1)", "--beta", "2/3", "--gamma", "1/3",
-                "--jmax", 25, "--out", tmp_path / "x.txt"], "element bits exceed"),
+              (["build-seq", *blocks, "--jmax", 25, "--out", tmp_path / "x.txt"],
+               "element bits exceed"),
+              (["scaling", *blocks, "--jmax", 19, "--csv", tmp_path / "x.csv"],
+               "about 30085013672 element bits exceed the budget of 8589934592 for one "
+               "element list"),
+              (["build-seq", *blocks, "--jmax", 40, "--out", tmp_path / "x.txt"],
+               "bits of C_j through level 40"),
+              (["pc", "--family", "identity", "--seq-n", 6 * 10**7, "--alpha", "1/7"],
+               "about 60000000 residue words"),
+              (["probe", *blocks, "--jmax", 26, "--levels", "8..26", "--s", 1,
+                "--alpha-from-regular-system", "j=10", "rank=3", "target=14"],
+               "about 51907929 residue words"),
               (["bohr", "--d", 10**9, "--delta", "1/4"], "1000000001 Bohr intervals")]
     for argv, refusal in others:
         start = time.perf_counter()
@@ -504,6 +524,28 @@ def test_probe_never_forms_the_element_list(tmp_path, monkeypatch, capsys, sourc
     assert "elements" in seq.__dict__
 
 
+def test_pc_probe_and_mc_reach_t21_without_the_element_list(tmp_path, monkeypatch, capsys):
+    # the (2/3, 1/3) blocks through T_21: 1748223 members, whose element
+    # list (about 4.7 * 10^11 bits) is over the budget; the residues come
+    # per block, so nothing here may ask for it
+    def no_elements(seq):
+        raise AssertionError("the element list was formed")
+
+    monkeypatch.setattr(BlockSequence, "elements", property(no_elements))
+    blocks = ["--family", "blocks", "--f", "ilog(1)", "--beta", "2/3", "--gamma", "1/3",
+              "--jmax", 21]
+    assert run_cli("pc", *blocks, "--alpha", "1/13", "--s", 1) == 0
+    assert "R = 78983276132/582741 " in capsys.readouterr().out
+    assert run_cli("probe", *blocks, "--levels", "20,21", "--s", 1,
+                   "--alpha-from-regular-system", "j=10", "rank=3", "target=14") == 0
+    rows = [line.split()[3] for line in capsys.readouterr().out.splitlines() if "R=" in line]
+    assert rows == ["R=6.5326381150393615", "R=7.765230179445071"]
+    csv = tmp_path / "mc.csv"
+    assert run_cli("mc", *blocks, "--trials", 1, "--schedule", 1748223, "--seed", 1,
+                   "--csv", csv) == 0
+    assert csv.read_text().splitlines()[1] == "0,1,1748223,1,196707.32963586453"
+
+
 # -- fuzzing the evaluator's commands ---------------------------------------------------
 #
 # pc, probe, mc, energy, scaling, bohr, bc-ratio, corollary-table and
@@ -513,8 +555,8 @@ def test_probe_never_forms_the_element_list(tmp_path, monkeypatch, capsys, sourc
 # tokens and one of malformed ones (None leaves the flag out); a run takes
 # valid tokens for all flags but at most one, so most runs get past the
 # parser.  The pools keep every run small: classic families of at most 50
-# elements, blocks through level 8 (level 40 is refused by the build
-# budget), ranks up to 100, short level ranges, Bohr frequencies up to 30,
+# elements, blocks through level 8 (level 40 is refused by the charge on
+# the C_j the build holds), ranks up to 100, short level ranges, Bohr frequencies up to 30,
 # interval files of a few lines.  Every draw is also written as a config
 # file and run through ``run``: the same exit code, and on success the same
 # stdout and output file bytes.

@@ -12,15 +12,16 @@ import sys
 import numpy as np
 import pytest
 
+from ppclab import sequences
 from ppclab.growth import GrowthFunction
 from ppclab.sequences import (
+    MAX_BITS,
     BlockParams,
     BudgetError,
     ClassicSequence,
     as_elements,
     build_blocks,
     classic,
-    estimate_build_bits,
     max_element_bits,
     read_sequence,
     rebuild_from_meta,
@@ -149,21 +150,64 @@ def test_probe_parameters_build_with_shared_member():
     assert seq.block_values(seq.a_block(5))[0] == 24
 
 
-def test_budget_refusal():
-    params = BlockParams(ILOG1, 2 / 3, 1 / 3, 25)
-    assert estimate_build_bits(params) > 1 << 33
-    with pytest.raises(BudgetError):
-        build_blocks(ILOG1, 2 / 3, 1 / 3, 25)
-    # a tight explicit budget rejects even small builds
-    with pytest.raises(BudgetError):
-        build_blocks(ILOG1, 2 / 3, 1 / 3, 8, max_total_bits=100)
+def test_budget_refusal(tmp_path):
+    # T_25 holds its C_j, about 8 * 10^6 bits, but its members would take
+    # about 1.1 * 10^14: the element list, a truncation to them all and the
+    # block file are each refused before any member is formed
+    seq = build_blocks(ILOG1, 2 / 3, 1 / 3, 25)
+    with pytest.raises(BudgetError, match="element bits exceed"):
+        seq.elements
+    with pytest.raises(BudgetError, match="element bits exceed"):
+        truncate(seq, len(seq))
+    path = tmp_path / "t25.txt"
+    with pytest.raises(BudgetError, match="element bits exceed"):
+        write_sequence(path, seq)
+    assert not path.exists() and "elements" not in seq.__dict__
+    # a prefix charges only its own members
+    assert truncate(seq, 100) == build_blocks(ILOG1, 2 / 3, 1 / 3, 9).elements[:100]
+    # the C_j through T_40 alone, about 2.5 * 10^11 bits, are refused
+    # before any is formed
+    with pytest.raises(BudgetError, match="bits of C_j"):
+        build_blocks(ILOG1, 2 / 3, 1 / 3, 40)
 
 
-def test_estimate_covers_actual():
+@pytest.mark.parametrize("beta, gamma", [(2 / 3, 1 / 3), (0.7, 0.45)])
+def test_element_charge_admits_t18_and_refuses_t19(beta, gamma):
+    # about 7.66 * 10^9 and 3.01 * 10^10 bits for (2/3, 1/3), 3.29 * 10^9
+    # and 1.28 * 10^10 for (0.7, 0.45), against MAX_BITS = 2^33
+    def parts(j_max):
+        return build_blocks(ILOG1, beta, gamma, j_max).own_parts()
+
+    assert sequences._charge_elements(parts(18)) <= MAX_BITS
+    with pytest.raises(BudgetError, match="element bits exceed"):
+        sequences._charge_elements(parts(19))
+
+
+def test_lowered_cap_refuses_the_c_j(monkeypatch):
+    at12 = sequences._c_bits(BlockParams(ILOG1, 2 / 3, 1 / 3, 12).levels())
+    monkeypatch.setattr(sequences, "MAX_BITS", at12 - 1)
+    build_blocks(ILOG1, 2 / 3, 1 / 3, 11)
+    with pytest.raises(BudgetError, match=f"about {at12} bits of C_j through level 12"):
+        build_blocks(ILOG1, 2 / 3, 1 / 3, 12)
+
+
+def test_charges_cover_what_they_charge():
     for j_max in (4, 8, 12):
         seq = build_blocks(ILOG1, 2 / 3, 1 / 3, j_max)
+        held = sum(seq.a_block(j).c.bit_length() for j in range(2, j_max + 1))
+        assert held <= sequences._c_bits(seq.params.levels())
         actual = sum(x.bit_length() for x in seq.elements)
-        assert actual <= estimate_build_bits(seq.params)
+        assert actual <= sequences._charge_elements(seq.own_parts())
+
+
+@pytest.mark.parametrize("beta, gamma", [(2 / 3, 1 / 3), (0.7, 0.45)])
+def test_truncate_and_max_bits_read_the_parts(beta, gamma):
+    seq = build_blocks(ILOG1, beta, gamma, 14)
+    bits = max_element_bits(seq)
+    prefixes = [truncate(seq, n) for n in (0, *seq.checkpoints)]
+    assert "elements" not in seq.__dict__
+    assert bits == seq.elements[-1].bit_length()
+    assert prefixes == [seq.elements[:n] for n in (0, *seq.checkpoints)]
 
 
 # -- classic families ---------------------------------------------------------
