@@ -48,7 +48,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .sequences import BlockSequence, BudgetError
+from .sequences import BlockSequence, BudgetError, truncate
 
 __all__ = [
     "RepCounts",
@@ -261,10 +261,11 @@ def _energies(xs: Sequence[int], ns: Sequence[int],
     value of a set is positive, so a set t = u needs no i > l test against
     another set; two such sets count their zero and negative solutions too,
     N = (count - |I_t||I_t'|) / 2.  ``_screen`` drops almost every pair of
-    sets, or of items, first.  The cross term becomes window counts over the
-    same run items: a family below a run (first y u, length L) meets it in
-    the boxes u - b - 2^m + [0, L), a family above it in b + 2^m - u -
-    [0, L), so a set and a box group count the (i, l, m) with
+    sets, or of items, first: those whose value ranges do not meet, then
+    those that fail a NAF weight test.  The cross term becomes window counts
+    over the same run items: a family below a run (first y u, length L)
+    meets it in the boxes u - b - 2^m + [0, L), a family above it in
+    b + 2^m - u - [0, L), so a set and a box group count the (i, l, m) with
     2^i - 2^l +- 2^m in one window (``_box_hits``); a ramp or a trapezoid is
     summed segment by segment over the (i, l) with 2^i - 2^l in its window
     (``_pair_window``).  Every term goes to the latest cell among its
@@ -446,7 +447,8 @@ def _run_items(blocks: tuple[list[int], np.ndarray, np.ndarray], runs: np.ndarra
     and a trapezoid per two runs, r_R = value + slope * e for d in [first,
     last] on the segments (first e, last e, value, slope) of e = d - base;
     and per run and family the boxes [a + sign 2^i, top + sign 2^i] of width
-    L, (a, top, bits(L - 1), sign, L, (lo, hi), cell)."""
+    L, (a, top, bits(L - 1), sign, L, (lo, hi), cell, span), span = [a + 2^lo,
+    top + 2^hi] for sign > 0 and [a - 2^hi, top - 2^lo] for sign < 0."""
     firsts, lengths, block_cells = blocks
     runs = [(firsts[b], int(lengths[b]), int(block_cells[b]), b) for b in runs.tolist()]
     shapes = []
@@ -458,7 +460,9 @@ def _run_items(blocks: tuple[list[int], np.ndarray, np.ndarray], runs: np.ndarra
                     for base, segments, cell in shapes)
     # a member b + 2^i below the run meets it at u - b - 2^i + [0, L), one
     # above it at b + 2^i - u - [0, L)
-    boxes = [(a, a + length - 1, (length - 1).bit_length(), sign, length, (lo, hi), max(cell, fc))
+    boxes = [(a, a + length - 1, (length - 1).bit_length(), sign, length, (lo, hi), max(cell, fc),
+              (a + (1 << lo), a + length - 1 + (1 << hi)) if sign > 0
+              else (a - (1 << hi), a + length - 1 - (1 << lo)))
              for u, length, cell, block in runs for b, lo, hi, fc, f_block in families
              for a, sign in [(u - b, -1) if f_block < block else (b - u - length + 1, 1)]]
     return shapes, boxes
@@ -490,13 +494,13 @@ def _run_square_sums(n_cells: int, shapes: list, boxes: list) -> list[int]:
                                      v2 - s2 * shift, s2)
                         for e1, e2, v, s in segments for f1, f2, v2, s2 in segments2)
             out[max(cell, cell2)] += total if y == x else 2 * total
-    lasts, widths = _keys(shape[1] for shape in shapes), [shape[1] - shape[0] for shape in shapes]
-    tops, lengths = _keys(box[1] for box in boxes), [box[4] for box in boxes]
-    for x, (a, top, _, sign, length, i_range, cell) in enumerate(boxes):
+    lasts, widths = _keys(((s[0], s[1]), s[1]) for s in shapes), [s[1] - s[0] for s in shapes]
+    tops, lengths = _keys((box[7], box[1]) for box in boxes), [box[4] for box in boxes]
+    for x, (a, top, _, sign, length, i_range, cell, span) in enumerate(boxes):
         # the boxes that meet a shape's support [first, last]: -sign 2^i in
         # [a - last, top - first], a window of width (last - first) + L - 1
-        for first, last, base, segments, cell2 in _screen(
-                shapes, a, lasts, map(int.bit_length, map((length - 1).__add__, widths)), 2):
+        for first, last, base, segments, cell2 in _screen(shapes, span, a, lasts, map(
+                int.bit_length, map((length - 1).__add__, widths)), 2):
             exponents = (_exponents(first - top, last - a, i_range) if sign > 0
                          else _exponents(a - last, top - first, i_range))
             if exponents:
@@ -507,9 +511,9 @@ def _run_square_sums(n_cells: int, shapes: list, boxes: list) -> list[int]:
         # box groups against box groups: boxes i and l meet where sign' v, v =
         # 2^l -+ 2^i, is in [a - top', top - a'], in the trapezoid min(e + L',
         # L - e, L, L') on -L' < e < L of e = delta + sign' v
-        for y in _screen(range(x, len(boxes)), a, tops[x:],
+        for y in _screen(range(x, len(boxes)), span, a, tops[x:],
                          map(int.bit_length, map((length - 2).__add__, lengths[x:])), 3):
-            a2, _, _, sign2, length2, l_range, cell2 = boxes[y]
+            a2, _, _, sign2, length2, l_range, cell2, _ = boxes[y]
             segments = _trapezoid_segments(length, length2)
             total = (_window_sum(segments, a2 - a, sign2, _pair_window, l_range, i_range, False)
                      if sign == sign2 else
@@ -688,9 +692,11 @@ class _Families:
         self.kept = self.hits = 0
 
     @cached_property
-    def sets(self) -> list[tuple[int, tuple[int, int], tuple[int, int], bool, int]]:
-        """The sets s = (t, u), t >= u: (Delta_s, I_t, I_u, t == u, cell of t)."""
-        return [(b - b2, (lo1, hi1), (lo2, hi2), t == u, c)
+    def sets(self) -> list[tuple[int, tuple[int, int], tuple[int, int], bool, int, tuple]]:
+        """The sets s = (t, u), t >= u: (Delta_s, I_t, I_u, t == u, cell of t,
+        span), the span holding Delta_s + 2^i - 2^l for all i in I_t, l in I_u."""
+        return [(b - b2, (lo1, hi1), (lo2, hi2), t == u, c,
+                 (b - b2 + (1 << lo1) - (1 << hi2), b - b2 + (1 << hi1) - (1 << lo2)))
                 for t, (b, lo1, hi1, c, _) in enumerate(self.families)
                 for u, (b2, lo2, hi2, _, _) in enumerate(self.families[:t + 1])]
 
@@ -737,17 +743,17 @@ class _Families:
         the run items (``_run_items``)."""
         out = [0] * n_cells
         sets = self.sets
-        for delta, (lo1, hi1), (lo2, hi2), diagonal, c in sets:
+        for delta, (lo1, hi1), (lo2, hi2), diagonal, c, _ in sets:
             if diagonal:
                 out[c] += (hi1 - lo1 + 1) * (hi1 - lo1) // 2
             else:
                 shared = _span(max(lo1, lo2), min(hi1, hi2))
                 out[c] += (hi1 - lo1 + 1) * (hi2 - lo2 + 1) - shared + shared * shared
-        deltas = _keys(s[0] for s in sets)
-        for x, (d1, i1, l1, diagonal1, c1) in enumerate(sets):
+        deltas = _keys((s[5], s[0]) for s in sets)
+        for x, (d1, i1, l1, diagonal1, c1, span) in enumerate(sets):
             # d1 - d2 is a signed sum of four powers of two
-            for d2, i2, l2, diagonal2, c2 in _screen(sets[x + 1:], d1, deltas[x + 1:], repeat(0),
-                                                     4):
+            for d2, i2, l2, diagonal2, c2, _ in _screen(sets[x + 1:], span, d1, deltas[x + 1:],
+                                                        repeat(0), 4):
                 self.kept += 1
                 count = _count4(i1, l1, i2, l2, d2 - d1)
                 if diagonal1 and diagonal2:
@@ -755,17 +761,17 @@ class _Families:
                 out[max(c1, c2)] += 2 * count
         # a set meets a box group where 2^i - 2^l - sign 2^m is in [a - delta,
         # top - delta]: h + 1, h = (a - delta) >> shift, has weight <= 4
-        for a, top, shift, sign, _, m_range, cell in boxes:
-            for delta, i_range, l_range, diagonal, c in _screen(
-                    sets, a + (1 << shift), deltas, repeat(shift), 4):
+        for a, top, shift, sign, _, m_range, cell, span in boxes:
+            for delta, i_range, l_range, diagonal, c, _ in _screen(
+                    sets, span, a + (1 << shift), deltas, repeat(shift), 4):
                 count = _box_hits(i_range, l_range, m_range, -sign, a - delta, top - delta,
                                   diagonal)
                 self.hits += count
                 out[max(c, cell)] += 2 * count
         # and a shape where 2^i - 2^l is in [first - delta, last - delta]
         for first, last, base, segments, cell in shapes:
-            for delta, i_range, l_range, diagonal, c in _screen(
-                    sets, first, deltas, repeat((last - first).bit_length()), 3):
+            for delta, i_range, l_range, diagonal, c, _ in _screen(
+                    sets, (first, last), first, deltas, repeat((last - first).bit_length()), 3):
                 total, hits = _window_sum(segments, delta - base, 1, _pair_window, i_range,
                                           l_range, diagonal)
                 self.hits += hits
@@ -782,24 +788,27 @@ def _naf_weight(m: int) -> int:
     return (3 * m ^ m).bit_count()
 
 
-def _keys(values: Iterable[int]) -> list[tuple[int, int]]:
-    """Each value with its low bits (``_LOW``), as ``_screen`` reads them."""
-    return [(v, v & _LOW) for v in values]
+def _keys(items: Iterable[tuple[tuple[int, int], int]]) -> list[tuple[int, int, int, int]]:
+    """Each item's span (lo, hi), value and low bits (``_LOW``), as ``_screen`` reads them."""
+    return [(lo, hi, v, v & _LOW) for (lo, hi), v in items]
 
 
-def _screen(items: Iterable, origin: int, keys: Iterable[tuple[int, int]],
+def _screen(items: Iterable, span: tuple[int, int], origin: int, keys: Iterable[tuple],
             shifts: Iterable[int], weight: int) -> list:
-    """The items whose h = (origin - value) >> shift, for their value in
+    """The items whose span meets ``span`` (two items count only values in
+    both) and whose h = (origin - value) >> shift, for their span and value in
     ``keys`` (``_keys``) and their shift, has a NAF of at most ``weight``
-    digits: the one test of whether two items meet.  If [origin - value,
-    + w], w < 2^shift, holds k signed powers of two, summing to 2^shift H
-    from 2^shift on, then H - 1 <= h <= H or -2 <= h <= 0 for k = 1 (weight
-    2), H - 2 <= h <= H or -3 <= h <= 1 for k = 2 (3), H - 3 <= h <= H + 1
-    for k = 3 of both signs.  The low bits go first, in small ints: h mod 2^c
-    is r or r + 2^c, r the NAF digits of h below 2^c, so one digit more."""
+    digits: the one test of whether two items meet.  If [origin - value, + w],
+    w < 2^shift, holds k signed powers of two, summing to 2^shift H from
+    2^shift on, then H - 1 <= h <= H or -2 <= h <= 0 for k = 1 (weight 2),
+    H - 2 <= h <= H or -3 <= h <= 1 for k = 2 (3), H - 3 <= h <= H + 1 for
+    k = 3 of both signs.  The low bits go first, in small ints: h mod 2^c is
+    r or r + 2^c, r the NAF digits of h below 2^c, so one digit more."""
+    first, last = span
     low = origin & _LOW
-    return [item for item, (value, value_low), shift in zip(items, keys, shifts)
-            if (3 * (h := (low - value_low & _LOW) >> shift) ^ h).bit_count() <= weight + 1
+    return [item for item, (lo, hi, value, value_low), shift in zip(items, keys, shifts)
+            if lo <= last and first <= hi
+            and (3 * (h := (low - value_low & _LOW) >> shift) ^ h).bit_count() <= weight + 1
             and _naf_weight(origin - value >> shift) <= weight]
 
 
@@ -965,9 +974,6 @@ def _box_hits(i_range, l_range, m_range, sign: int, lo: int, hi: int, positive: 
     l = m = i - 1).  For m < s, H is a run of ones in h - 1 .. h + 2
     (sign > 0) or h .. h + 3.  The windows of 2^i - 2^l are counted at each
     such m, the free lines off them in closed form."""
-    t = max(i_range[1], l_range[1], m_range[1]) + 1  # every solution is within 2^t of 0
-    if lo >= 0 and lo.bit_length() > t or hi < 0 and (-hi).bit_length() > t:
-        return 0
     s = (hi - lo).bit_length()
     h = lo >> s
     tops = [top for top in range(h, h + 3) if _naf_weight(top) <= 3]
@@ -1096,15 +1102,15 @@ def energy_scaling(
     predicted growth: E * f(N)^(3*(beta-gamma)) / N^3 at N = T_level.
 
     All checkpoints come from one ``_energies`` pass over the pairs of the
-    longest prefix, which charges its work against the budget and refuses
-    before any pair is formed.  Checkpoints whose
-    consecutive run is empty are flagged in their row (and excluded from the
-    spread) rather than silently mixed in.
+    longest prefix (its members alone are formed, by ``truncate``), which
+    charges its work against the budget and refuses before any pair is
+    formed.  Checkpoints whose consecutive run is empty are flagged in their
+    row (and excluded from the spread) rather than silently mixed in.
     """
     params = seq.params
     levels = sorted(set(levels))
     ns = [seq.checkpoint(j) for j in levels]
-    energies, split = _energies(seq.elements, ns, max_pairs)
+    energies, split = _energies(truncate(seq, max(ns, default=0)), ns, max_pairs)
     exponent = 3.0 * (params.beta - params.gamma)
     rows = []
     for j, n, energy in zip(levels, ns, energies):

@@ -105,6 +105,22 @@ def test_scaling_default_levels_skip_empty_runs(tmp_path):
     assert first_rows == ["2", "3", "4", "5", "6"]  # level 1 has no run
 
 
+def test_scaling_forms_only_the_members_of_the_top_level_asked(tmp_path, capsys):
+    # levels 8..12 of the T_19 blocks read the members through T_12 alone,
+    # so they give the rows of the T_12 blocks; all levels of T_19 are still
+    # refused on the bits of its element list
+    blocks = ["scaling", "--family", "blocks", "--f", "ilog(1)", "--beta", "2/3", "--gamma", "1/3"]
+    for jmax in (19, 12):
+        assert run_cli(*blocks, "--jmax", jmax, "--levels", "8..12",
+                       "--csv", tmp_path / f"{jmax}.csv") == 0
+    assert (tmp_path / "19.csv").read_bytes() == (tmp_path / "12.csv").read_bytes()
+    capsys.readouterr()
+    assert run_cli(*blocks, "--jmax", 19, "--csv", tmp_path / "all.csv") == 4
+    assert ("about 30085013672 element bits exceed the budget of 8589934592 for one "
+            "element list" in capsys.readouterr().err)
+    assert not (tmp_path / "all.csv").exists()
+
+
 def test_probe_csv_and_manifest(tmp_path, capsys):
     seq_file, csv = tmp_path / "seq.txt", tmp_path / "probe.csv"
     run_cli("build-seq", "--f", "ilog(1)", "--beta", "0.7", "--gamma", "0.45",

@@ -425,22 +425,58 @@ def test_energy_scaling_checks_levels_before_any_work(monkeypatch):
             energy_scaling(seq, levels=[level, 3], max_pairs=1)
 
 
+def test_every_value_of_an_item_lies_in_its_span():
+    # _screen drops two items whose spans do not meet, so each span must hold
+    # every value its item counts: a set's Delta + 2^i - 2^l over all of its
+    # exponent ranges (i > l or not, as _count4 reads them, on the diagonal
+    # too), a shape's d = base + e on each segment, and each box of a box
+    # group, a + sign 2^m + [0, L)
+    rng = random.Random(32)
+    for _ in range(300):
+        firsts, lengths, y = [], [], rng.randint(-60, 60)
+        for _ in range(rng.randint(1, 6)):
+            firsts.append(y)
+            lengths.append(rng.choice([1, rng.randint(2, 9)]))
+            y += lengths[-1] + rng.randint(1, 40)
+        runs = np.flatnonzero(np.array(lengths) >= 2)
+        families = []
+        for k in np.flatnonzero(np.array(lengths) == 1).tolist():
+            lo = rng.randint(0, 8)
+            families.append((rng.randint(-300, 300), lo, lo + rng.randint(0, 5), 0, k))
+        blocks = (firsts, np.array(lengths), np.zeros(len(lengths), dtype=np.int32))
+        shapes, boxes = energy._run_items(blocks, runs, families)
+        for delta, (i0, i1), (l0, l1), _, _, (lo, hi) in energy._Families(families).sets:
+            for i in range(i0, i1 + 1):
+                for l in range(l0, l1 + 1):
+                    assert lo <= delta + (1 << i) - (1 << l) <= hi
+        for first, last, base, segments, _ in shapes:
+            for e1, e2, _, _ in segments:
+                for e in range(e1, e2 + 1):
+                    assert first <= base + e <= last
+        for a, top, _, sign, length, (m0, m1), _, (lo, hi) in boxes:
+            assert top == a + length - 1
+            for m in range(m0, m1 + 1):
+                for d in range(a + sign * (1 << m), top + sign * (1 << m) + 1):
+                    assert lo <= d <= hi
+
+
 # One pass over the blocks, levels 1 .. j as its cells: every energy and the
-# whole split dict, whose cross hits and kept set pairs count what the run
-# items and the families met, however their pairs were screened.
+# whole split dict, whose cross hits count what the run items and the
+# families met, however their pairs were screened, and whose kept set pairs
+# count the pairs of sets that pass both stages of _screen.
 BLOCK_PASSES = {
     (0.7, 0.45, 12): (
         [6, 36, 122, 590, 7855, 48608, 272254, 1438468, 8180140, 48692268, 301697116,
          1939757518],
         {"runs": 12, "points": 1297, "point_pairs": 0, "pieces": 186, "cross_hits": 2746,
          "families": 8, "family_members": 1296, "sets": 45, "set_pairs": 990,
-         "set_pairs_kept": 147}),
+         "set_pairs_kept": 116}),
     (2 / 3, 1 / 3, 16): (
         [6, 36, 179, 2202, 11314, 58713, 302351, 1632646, 9520184, 57591496, 363938671,
          2379482163, 15910340538, 108284966631, 746912047735, 5209418386166],
         {"runs": 16, "points": 32501, "point_pairs": 0, "pieces": 360, "cross_hits": 6778,
          "families": 13, "family_members": 32500, "sets": 105, "set_pairs": 5460,
-         "set_pairs_kept": 275}),
+         "set_pairs_kept": 241}),
 }
 
 

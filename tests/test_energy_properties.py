@@ -352,7 +352,8 @@ def test_screen_passes_every_window_that_holds_a_sum(terms, data):
     # at weight 2, +-2^x +- 2^y (two box groups, a shape and a set) at 3,
     # and 2^x - 2^y +- 2^z (a box group and a set) at 4, started 2^shift
     # lower; a window that holds such a sum, within 2^64 or past it (where
-    # the low bits alone are read first), is never screened out
+    # the low bits alone are read first), is never screened out, neither by
+    # the spans (the window's against the sums') nor by the weight
     ranges = [data.draw(exponents(lo_max=90, width=10)) for _ in range(terms)]
     signs = [data.draw(st.sampled_from([1, -1])) for _ in range(terms)]
     if terms == 3:
@@ -366,7 +367,9 @@ def test_screen_passes_every_window_that_holds_a_sum(terms, data):
     shift = width.bit_length()
     origin, weight = [(start, 2), (start, 3), (start + (1 << shift), 4)][terms - 1]
     held = any(start <= v <= start + width for v in values)
-    assert not held or energy._screen([start], origin, energy._keys([0]), [shift], weight)
+    keys = energy._keys([((min(values, default=0), max(values, default=0)), 0)])
+    assert not held or energy._screen([start], (start, start + width), origin, keys, [shift],
+                                      weight)
 
 
 def test_blocks_are_the_runs_of_ones_and_their_negatives():
