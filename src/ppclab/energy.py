@@ -166,8 +166,6 @@ _PAIR_CAP = 1 << 15
 _INT_STEP = 16
 # Python-int gaps held at a time while their gcd is taken
 _GAP_CHUNK = 1024
-# The low bits that ``_screen`` tests first
-_LOW = (1 << 64) - 1
 
 
 def additive_energy(a: Iterable[int], method: str = "sorted") -> int:
@@ -212,7 +210,7 @@ def _energies(xs: Sequence[int], ns: Sequence[int],
     its gaps), with span S = max y - min y; g divides every shorter prefix's
     gaps too, so this one reduction serves every prefix.  Energy is
     translation-invariant and the pass reads only differences of the ys, so
-    they are not translated (``_reduced``).  The distinct lengths in ``ns``
+    they are not translated (``_quotients``).  The distinct lengths in ``ns``
     are the grid cells; each pair is tagged with the cell of its larger
     index, the shortest prefix that holds it.
 
@@ -320,7 +318,7 @@ _NO_SPLIT = {"runs": 0, "points": 0, "point_pairs": 0, "pieces": 0, "cross_hits"
              "set_pairs_kept": 0}
 
 
-def _reduced(xs: Sequence[int]) -> tuple[Sequence[int], np.ndarray]:
+def _quotients(xs: Sequence[int]) -> tuple[Sequence[int], np.ndarray]:
     """The reduced y = x / g of the n >= 2 ``xs`` (g the gcd of their gaps):
     ``xs`` itself when g = 1, else the quotients x // g (every x leaves one
     remainder mod g), never translated; and where y[i + 1] = y[i] + 1.  The
@@ -374,7 +372,7 @@ class _Plan:
 
     def __init__(self, xs: Sequence[int], grid: list[int]) -> None:
         n = len(xs)
-        self.ys, joined = _reduced(xs)
+        self.ys, joined = _quotients(xs)
         self.n_cells = len(grid)
         # the cell of element i is the first prefix that holds it
         self.cells = np.searchsorted(np.array(grid), np.arange(n), side="right").astype(np.int32)
@@ -494,8 +492,8 @@ def _run_square_sums(n_cells: int, shapes: list, boxes: list) -> list[int]:
                                      v2 - s2 * shift, s2)
                         for e1, e2, v, s in segments for f1, f2, v2, s2 in segments2)
             out[max(cell, cell2)] += total if y == x else 2 * total
-    lasts, widths = _keys(((s[0], s[1]), s[1]) for s in shapes), [s[1] - s[0] for s in shapes]
-    tops, lengths = _keys((box[7], box[1]) for box in boxes), [box[4] for box in boxes]
+    lasts, widths = [((s[0], s[1]), s[1]) for s in shapes], [s[1] - s[0] for s in shapes]
+    tops, lengths = [(box[7], box[1]) for box in boxes], [box[4] for box in boxes]
     for x, (a, top, _, sign, length, i_range, cell, span) in enumerate(boxes):
         # the boxes that meet a shape's support [first, last]: -sign 2^i in
         # [a - last, top - first], a window of width (last - first) + L - 1
@@ -749,7 +747,7 @@ class _Families:
             else:
                 shared = _span(max(lo1, lo2), min(hi1, hi2))
                 out[c] += (hi1 - lo1 + 1) * (hi2 - lo2 + 1) - shared + shared * shared
-        deltas = _keys((s[5], s[0]) for s in sets)
+        deltas = [(s[5], s[0]) for s in sets]
         for x, (d1, i1, l1, diagonal1, c1, span) in enumerate(sets):
             # d1 - d2 is a signed sum of four powers of two
             for d2, i2, l2, diagonal2, c2, _ in _screen(sets[x + 1:], span, d1, deltas[x + 1:],
@@ -788,28 +786,19 @@ def _naf_weight(m: int) -> int:
     return (3 * m ^ m).bit_count()
 
 
-def _keys(items: Iterable[tuple[tuple[int, int], int]]) -> list[tuple[int, int, int, int]]:
-    """Each item's span (lo, hi), value and low bits (``_LOW``), as ``_screen`` reads them."""
-    return [(lo, hi, v, v & _LOW) for (lo, hi), v in items]
-
-
 def _screen(items: Iterable, span: tuple[int, int], origin: int, keys: Iterable[tuple],
             shifts: Iterable[int], weight: int) -> list:
     """The items whose span meets ``span`` (two items count only values in
-    both) and whose h = (origin - value) >> shift, for their span and value in
-    ``keys`` (``_keys``) and their shift, has a NAF of at most ``weight``
-    digits: the one test of whether two items meet.  If [origin - value, + w],
+    both) and whose h = (origin - value) >> shift, for their span and value
+    ((lo, hi), value) in ``keys`` and their shift, has a NAF of at most
+    ``weight`` digits: the one test of whether two items meet.  If [origin - value, + w],
     w < 2^shift, holds k signed powers of two, summing to 2^shift H from
     2^shift on, then H - 1 <= h <= H or -2 <= h <= 0 for k = 1 (weight 2),
     H - 2 <= h <= H or -3 <= h <= 1 for k = 2 (3), H - 3 <= h <= H + 1 for
-    k = 3 of both signs.  The low bits go first, in small ints: h mod 2^c is
-    r or r + 2^c, r the NAF digits of h below 2^c, so one digit more."""
+    k = 3 of both signs."""
     first, last = span
-    low = origin & _LOW
-    return [item for item, (lo, hi, value, value_low), shift in zip(items, keys, shifts)
-            if lo <= last and first <= hi
-            and (3 * (h := (low - value_low & _LOW) >> shift) ^ h).bit_count() <= weight + 1
-            and _naf_weight(origin - value >> shift) <= weight]
+    return [item for item, ((lo, hi), value), shift in zip(items, keys, shifts)
+            if lo <= last and first <= hi and _naf_weight(origin - value >> shift) <= weight]
 
 
 def _naf_digits(m: int) -> list[int]:
@@ -878,8 +867,6 @@ def _count4(i_range, l_range, a_range, c_range, delta: int) -> int:
     NAF of weight w + 1 > 3.  delta = 0 is closed-form: i = l with a = c, or
     (i, l) = (a, c)."""
     digits = _naf_digits(delta)
-    if len(digits) > 4:
-        return 0
     if not delta:
         def meet(*ranges):
             return _span(max(r[0] for r in ranges), min(r[1] for r in ranges))

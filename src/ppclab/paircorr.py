@@ -28,17 +28,18 @@ any work, computes the residues of the longest prefix once, sorts each
 prefix once and counts every s (every limit of every cell) from that sorted
 array.  The residues come from one step, ``_residues``, as the words the
 count takes; the count does not look behind them.  That step reads each
-member only through x mod q (``_reduced``), and the fixed-point width
-check only the widest member.  A plain list gives x mod q element by
-element; a block sequence gives it per block from its construction and
-never forms its element list: a run C + [0, L) as (C mod q + k) mod q, a
-geometric block 2C + 2^i as (2C mod q + 2^i mod q) mod q with the powers
-found by doubling, in numpy uint64 for q <= 2**32 and in small Python ints
-above.  ``pair_correlation`` is one cell of the evaluator,
-``divergence_probe`` one call over its levels, and ``monte_carlo_ppc`` one
-call per trial on the uint64 words (x mod 2**64) it made of the members
-once, which are all a residue under its dilations k/2**64 reads; a classic
-family's int64 members are those words already, viewed without a copy.
+member only through x mod q, which one reader forms (``_reduced``), and
+the fixed-point width check only the widest member.  A block sequence
+gives x mod q per block from its construction and never forms its element
+list: a run C + [0, L) as (C mod q + k) mod q, a geometric block 2C + 2^i
+as (2C mod q + 2^i mod q) mod q with the powers found by doubling, in numpy
+uint64 for q <= 2**32 and in small Python ints above.  A classic family is
+read from its stored members, an int64 array by numpy's ``%`` (exact for
+either sign) or, at q = 2**64, as its two's-complement words without a
+copy; the elements of anything else one by one.  ``pair_correlation`` is
+one cell of the evaluator, ``divergence_probe`` one call over its levels,
+and ``monte_carlo_ppc`` one call per trial on the uint64 words x mod 2**64
+it reads once, which are all a residue under its dilations k/2**64 reads.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -159,8 +160,9 @@ def frac_mult(alpha: Alpha, a: int) -> Fraction:
     return Fraction(p * (a % q) % q, q)
 
 
-# a member source: the elements, or a block sequence read from its blocks
-Source = Union[BlockSequence, Sequence[int]]
+# a member source: a block sequence read from its blocks, an int64 or uint64
+# array, or the elements
+Source = Union[BlockSequence, np.ndarray, Sequence[int]]
 
 
 def _dilation(alpha: Alpha, source: Source, n: int) -> tuple[int, int]:
@@ -170,7 +172,9 @@ def _dilation(alpha: Alpha, source: Source, n: int) -> tuple[int, int]:
     if alpha.mode == "rational":
         return alpha.num, alpha.den
     if isinstance(source, BlockSequence):  # increasing and positive: the last
-        widest = source.top(n) if n else 0
+        widest = source.member(n - 1) if n else 0
+    elif isinstance(source, np.ndarray):  # the ends as Python ints, so -2**63 negates
+        widest = max(int(source[:n].max(initial=0)), -int(source[:n].min(initial=0)))
     else:
         widest = int(max(map(abs, islice(source, n)), default=0))
     need = widest.bit_length() + alpha.guard
@@ -235,33 +239,30 @@ def _doublings(lo: int, hi: int, q: int, step: int = 1) -> Iterator[int]:
                       initial=pow(2, lo, q))
 
 
-def _words(source: Source, n: int | None = None) -> np.ndarray:
-    """The first n members (all by default) mod 2**64 as uint64 words; a
-    uint64 array is returned as it is and an int64 array is viewed as
-    uint64 (two's complement is already x mod 2**64), neither copied, and a
-    block sequence gives them per block.  That is all the residues need
-    under a power-of-two q <= 2**64, since q divides 2**64."""
-    n = len(source) if n is None else n
-    if isinstance(source, BlockSequence):
-        return _block_reduced(source, n, _U64_MODULUS)
-    elements = source if n == len(source) else source[:n]
-    if isinstance(elements, np.ndarray) and elements.dtype in (np.uint64, np.int64):
-        return elements.view(np.uint64)
-    try:  # elements in [0, 2**64) convert as they are
-        return np.fromiter(elements, dtype=np.uint64, count=n)
-    except OverflowError:
-        mask = _U64_MODULUS - 1
-        return np.fromiter((x & mask for x in elements), dtype=np.uint64, count=n)
-
-
 def _reduced(source: Source, n: int, q: int) -> np.ndarray | Iterable[int]:
     """x mod q for the first n members of ``source``: uint64 words for q <=
-    2**32, Python ints above; a block sequence gives them per block, the
-    elements one by one."""
+    2**32 and for q = 2**64, Python ints otherwise.  A block sequence gives
+    them per block.  An int64 array takes numpy's ``%``, exact and
+    non-negative for members of either sign, is viewed as its words at q =
+    2**64 (two's complement is x mod 2**64) and becomes Python ints above
+    2**32, ``_SEARCH_CHUNK`` of them at a time.  A uint64 array is taken as
+    the words x mod 2**64 (of :func:`monte_carlo_ppc`), so it is read right
+    only when q divides 2**64.  The elements of anything else are reduced
+    one by one."""
     if isinstance(source, BlockSequence):
         return _block_reduced(source, n, q)
+    if isinstance(source, np.ndarray):
+        if q == _U64_MODULUS:
+            return source[:n].view(np.uint64)
+        if q <= _U32_MODULUS:
+            return (source[:n] % source.dtype.type(q)).view(np.uint64)
+        # no list of all n Python ints is held
+        chunks = np.split(source[:n], range(_SEARCH_CHUNK, n, _SEARCH_CHUNK))
+        source = chain.from_iterable(map(np.ndarray.tolist, chunks))
     reduced = (x % q for x in islice(source, n))
-    return np.fromiter(reduced, dtype=np.uint64, count=n) if q <= _U32_MODULUS else reduced
+    if q <= _U32_MODULUS or q == _U64_MODULUS:
+        return np.fromiter(reduced, dtype=np.uint64, count=n)
+    return reduced
 
 
 def _residues(alpha: Alpha, source: Source, n: int | None = None
@@ -271,22 +272,20 @@ def _residues(alpha: Alpha, source: Source, n: int | None = None
     the exact r of the member at an index.
 
     Every residue is read from x mod q (:func:`_reduced`).  For q <= 2**64
-    the words are the residues: by mask for a power-of-two q (from
-    :func:`_words`, x mod q also for negative x), p * (x mod q) mod q in
-    uint64 for q <= 2**32 and in Python ints above.  Above 2**64 they are
-    the top words floor(r * 2**64 / q) = (x % q) * c >> k mod 2**64 with c
-    = ceil(p * 2**(64 + k) / q): exact at k = b - 64 for q = 2**b, and at
-    k = 2 bits(q) for any q, where the error term (x % q) * (c - p * 2**(64
-    + k) / q) / 2**k < q / 2**k stays below 1/q, the spacing of r * 2**64 /
-    q.  The resolver reduces the member at the index again; a block
-    sequence, which has no member to index, keeps its x mod q for it.
-    :func:`_words` may stand in for the elements only under a rational
-    alpha with power-of-two q <= 2**64."""
+    the words are the residues: by mask for a power-of-two q (from x mod
+    2**64, as q divides 2**64), p * (x mod q) mod q in uint64 for q <= 2**32
+    and in Python ints above.  Above 2**64 they are the top words floor(r *
+    2**64 / q) = (x % q) * c >> k mod 2**64 with c = ceil(p * 2**(64 + k) /
+    q): exact at k = b - 64 for q = 2**b, and at k = 2 bits(q) for any q,
+    where the error term (x % q) * (c - p * 2**(64 + k) / q) / 2**k < q /
+    2**k stays below 1/q, the spacing of r * 2**64 / q.  The resolver reads
+    the member at the index again (a block sequence forms it from its part)
+    and reduces it."""
     n = len(source) if n is None else n
     p, q = _dilation(alpha, source, n)
     if q <= _U64_MODULUS and not q & (q - 1):
         # q divides 2**64, so the product may wrap mod 2**64 before the mask
-        res = _words(source, n) * np.uint64(p)
+        res = _reduced(source, n, _U64_MODULUS) * np.uint64(p)
         if q < _U64_MODULUS:
             res &= np.uint64(q - 1)
         return res, q, None
@@ -298,15 +297,11 @@ def _residues(alpha: Alpha, source: Source, n: int | None = None
     if q <= _U64_MODULUS:
         words = ((p * r) % q for r in reduced)
         return np.fromiter(words, dtype=np.uint64, count=n), q, None
-    if isinstance(source, BlockSequence):  # no element to read again: keep x mod q
-        reduced = list(reduced)
-        at = reduced.__getitem__
-    else:
-        at = lambda i: int(source[i]) % q  # noqa: E731
+    member = source.member if isinstance(source, BlockSequence) else source.__getitem__
     k = q.bit_length() - 65 if not q & (q - 1) else 2 * q.bit_length()
     scaled, mask = -(-(p << (64 + k)) // q), _U64_MODULUS - 1
     words = np.fromiter((r * scaled >> k & mask for r in reduced), dtype=np.uint64, count=n)
-    return words, q, lambda i: p * at(i) % q
+    return words, q, lambda i: p * (int(member(i)) % q) % q
 
 
 def _search_rest(sorted_res: np.ndarray, q: int, limit: int, anchors: np.ndarray) -> int:
@@ -536,7 +531,7 @@ def _statistics(
         if exact is not None:
             order = np.argsort(words[:n])
             sorted_words = words[order]
-            exact_at = lambda k, order=order: exact(order[k])  # noqa: E731
+            exact_at = lambda k, order=order: exact(int(order[k]))  # noqa: E731
         else:
             # sorting a prefix in place keeps the members of every longer one
             sorted_words = words[:n]
@@ -557,25 +552,18 @@ def pair_correlation(seq: SequenceLike, alpha: Alpha, n: int, s: SLike) -> Fract
     O(n log n) by sorting the residues p * a mod q of alpha = p/q (see
     :func:`_count_within_u64`).  In fixed-point mode a comparison landing
     inside the guard window raises :class:`PrecisionError`.  A block
-    sequence is read per block, without forming its elements.  A classic
-    family stored as int64 is read as its uint64 words, without building
-    its Python ints, under a rational alpha whose q is a power of two <=
-    2**64: x mod 2**64 is all a residue then reads.
+    sequence is read per block and a classic family from its stored
+    members (see :func:`_reduced`), neither forming its element list.
     """
     s = Fraction(s)
-    q = alpha.den
-    if (isinstance(seq, ClassicSequence) and isinstance(seq.members, np.ndarray)
-            and alpha.mode == "rational" and not q & (q - 1) and q <= _U64_MODULUS):
-        source = _words(seq.members)
-    else:
-        source = _source(seq)
-    return _statistics(source, alpha, [n], [s])[n, s]
+    return _statistics(_source(seq), alpha, [n], [s])[n, s]
 
 
 def _source(seq: SequenceLike) -> Source:
     """What the residues of ``seq`` are read from: a block sequence itself,
-    whose residues come per block, else its elements."""
-    return seq if isinstance(seq, BlockSequence) else as_elements(seq)
+    whose residues come per block, a classic family's ``members`` (its int64
+    array, or its list), else the elements."""
+    return seq.members if isinstance(seq, ClassicSequence) else seq
 
 
 def _prepare(seq: SequenceLike, n: int, s: SLike) -> tuple[Sequence[int], Fraction]:
@@ -923,20 +911,21 @@ def monte_carlo_ppc(
     execution order.  The schedule and the s values are sorted and their
     repeats dropped, and rows are emitted sorted by (trial, n, s).  Every
     input is checked before any work.  The members become uint64 words
-    (x mod 2**64) once per call, and every trial passes the words in place
-    of the elements: its q is 2**64, so x mod 2**64 is all a residue reads.
-    A classic family stored as int64 (:func:`~ppclab.sequences.classic`) is
-    read as those words without a copy, and a block sequence per block:
-    neither forms its Python-int elements.
-    Each trial answers every (n, s) from one sort per prefix.
+    (x mod 2**64, :func:`_reduced`) once per call, and every trial passes
+    the words in place of the elements: its q is 2**64, so x mod 2**64 is
+    all a residue reads.  A classic family stored as int64
+    (:func:`~ppclab.sequences.classic`) is viewed as those words without a
+    copy, and a block sequence read per block: neither forms its
+    Python-int elements.  Each trial answers every (n, s) from one sort per
+    prefix.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    source = seq.members if isinstance(seq, ClassicSequence) else _source(seq)
+    source = _source(seq)
     schedule, s_fracs = _grid(len(source), [int(n) for n in schedule], s_values)
     if not schedule or not s_fracs:
         raise ValueError("schedule and s list must be nonempty")
-    words = _words(source, schedule[-1])
+    words = _reduced(source, schedule[-1], _U64_MODULUS)
     rows = []
     for trial in range(trials):
         alpha = _trial_alpha(seed, trial)

@@ -164,12 +164,14 @@ class BlockSequence:
             n -= hi - lo
             yield geometric, base, lo, hi
 
-    def top(self, n: int) -> int:
-        """The largest of the first n >= 1 members: the last one, read from
-        the top of the last part."""
-        for geometric, base, _, hi in self.parts(n):
-            pass
-        return _part_top(geometric, base, hi)
+    def member(self, i: int) -> int:
+        """The member at index 0 <= i < len(self), formed from its part."""
+        if not 0 <= i < len(self):
+            raise IndexError(f"member {i} outside 0..{len(self) - 1}")
+        for geometric, base, lo, hi in self.own_parts():
+            if i < hi - lo:
+                return base + (1 << lo + i) if geometric else base + lo + i
+            i -= hi - lo
 
     def checkpoint(self, j: int) -> int:
         if not (1 <= j <= self.params.j_max):
@@ -452,17 +454,18 @@ def as_elements(seq: SequenceLike) -> Sequence[int]:
 
 def truncate(seq: SequenceLike, n: int) -> Sequence[int]:
     """The first n elements; refuses to silently pad a too-short sequence.
-    A block sequence forms only those n, from its parts."""
+    A block sequence whose element list is not formed yet forms only those
+    n, from its parts."""
     if not (0 <= n <= len(seq)):
         raise ValueError(f"truncation length {n} outside 0..{len(seq)}")
-    if isinstance(seq, BlockSequence):
+    if isinstance(seq, BlockSequence) and "elements" not in vars(seq):
         return _members(seq.parts(n))
     return as_elements(seq)[:n]
 
 
 def max_element_bits(seq: SequenceLike) -> int:
     if isinstance(seq, BlockSequence):  # increasing: the last member
-        return seq.top(len(seq)).bit_length()
+        return seq.member(len(seq) - 1).bit_length()
     elems = as_elements(seq)
     if not elems:
         raise ValueError("empty sequence has no maximum")

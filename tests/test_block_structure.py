@@ -10,6 +10,7 @@ elements.  The draws include restarted runs and geometric members shared
 with a run.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -78,6 +79,18 @@ def test_elements_are_the_union_of_the_levels(params):
         assert values == sorted(values) and set(values) <= set(want)
 
 
+@example(SHARED)
+@given(block_params())
+def test_member_is_the_element_at_its_index(params):
+    seq = build_blocks(*params)
+    members = [seq.member(i) for i in range(len(seq))]
+    assert "elements" not in seq.__dict__  # each formed from its part
+    assert members == seq.elements
+    for i in (-1, len(seq)):
+        with pytest.raises(IndexError):
+            seq.member(i)
+
+
 MODULI = {
     "below 2^32": st.integers(1, (1 << 32) - 1),
     "2^32": st.just(1 << 32),
@@ -135,4 +148,4 @@ def assert_residues_per_block(seq, n, alpha):
     if exact:
         assert resolved == [want_exact(i) for i in range(n)]
     if not q & (q - 1) and q <= U64:  # the words x mod 2**64 stand in
-        assert paircorr._words(seq, n).tolist() == [x % U64 for x in elements]
+        assert paircorr._reduced(seq, n, U64).tolist() == [x % U64 for x in elements]

@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from ppclab import energy
+from ppclab import energy, sequences
 from ppclab.energy import (
     additive_energy,
     additive_energy_bruteforce,
@@ -26,7 +26,7 @@ from ppclab.energy import (
     rep_counts,
 )
 from ppclab.growth import GrowthFunction
-from ppclab.sequences import BudgetError, build_blocks, classic
+from ppclab.sequences import BudgetError, build_blocks, classic, load_sequence, write_sequence
 
 
 def quadruple_loop(a):
@@ -177,7 +177,7 @@ def test_reduction_reads_int64_spans_and_python_ints_alike(xs):
     # y = x / g, never translated: the caller's own list when g = 1, else the
     # quotients x // g, whose gaps are the gaps over g
     step = math.gcd(*(v - u for u, v in zip(xs, xs[1:])))
-    ys, joined = energy._reduced(xs)
+    ys, joined = energy._quotients(xs)
     if step == 1:
         assert ys is xs
     else:
@@ -186,9 +186,9 @@ def test_reduction_reads_int64_spans_and_python_ints_alike(xs):
     assert joined.tolist() == [v - u == step for u, v in zip(xs, xs[1:])]
     assert additive_energy(xs) == energy_from_reps(rep_counts(xs))
     with pytest.raises(ValueError, match="strictly increasing"):
-        energy._reduced(xs[::-1])
+        energy._quotients(xs[::-1])
     with pytest.raises(ValueError, match="strictly increasing"):
-        energy._reduced(xs + xs[-1:])
+        energy._quotients(xs + xs[-1:])
 
 
 @pytest.mark.parametrize("gaps", [
@@ -200,11 +200,11 @@ def test_reduction_takes_python_int_gaps_a_chunk_at_a_time(gaps, monkeypatch):
     monkeypatch.setattr(energy, "_GAP_CHUNK", 4)
     xs = list(itertools.accumulate(gaps, initial=1 << 70))
     step = math.gcd(*gaps)
-    ys, joined = energy._reduced(xs)
+    ys, joined = energy._quotients(xs)
     assert ys == [x // step for x in xs]
     assert joined.tolist() == [g == step for g in gaps]
     with pytest.raises(ValueError, match="strictly increasing"):
-        energy._reduced(xs[:9] + xs[8:])
+        energy._quotients(xs[:9] + xs[8:])
 
 
 def test_numpy_integers_are_read_as_python_ints():
@@ -423,6 +423,26 @@ def test_energy_scaling_checks_levels_before_any_work(monkeypatch):
     for level in (0, 7):
         with pytest.raises(ValueError, match=rf"^level {level} outside built range 1\.\.6$"):
             energy_scaling(seq, levels=[level, 3], max_pairs=1)
+
+
+def test_energy_scaling_slices_the_elements_a_long_load_formed(tmp_path, monkeypatch):
+    # a comment line in the body sends a block file the long way, which
+    # forms and keeps the element list: the pass reads a slice of it and
+    # forms no member a second time
+    seq = build_blocks(GrowthFunction("ilog", r=1), 0.7, 0.45, 10)
+    want = energy_scaling(seq, levels=[4, 8, 9])
+    path = tmp_path / "seq.txt"
+    write_sequence(path, seq)
+    header, _, body = path.read_bytes().partition(b"\n1\n")
+    path.write_bytes(header + b"\n1\n# a note\n" + body)
+    loaded = load_sequence(path)
+    assert "elements" in vars(loaded)
+
+    def no_members(*args):
+        raise AssertionError("members formed again")
+
+    monkeypatch.setattr(sequences, "_members", no_members)
+    assert energy_scaling(loaded, levels=[4, 8, 9]) == want
 
 
 def test_every_value_of_an_item_lies_in_its_span():

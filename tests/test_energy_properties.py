@@ -351,9 +351,9 @@ def test_screen_passes_every_window_that_holds_a_sum(terms, data):
     # the bounds of the callers of _screen: +-2^x (a box group and a shape)
     # at weight 2, +-2^x +- 2^y (two box groups, a shape and a set) at 3,
     # and 2^x - 2^y +- 2^z (a box group and a set) at 4, started 2^shift
-    # lower; a window that holds such a sum, within 2^64 or past it (where
-    # the low bits alone are read first), is never screened out, neither by
-    # the spans (the window's against the sums') nor by the weight
+    # lower; a window that holds such a sum, within 2^64 or past it, is
+    # never screened out, neither by the spans (the window's against the
+    # sums') nor by the NAF weight of the whole integer
     ranges = [data.draw(exponents(lo_max=90, width=10)) for _ in range(terms)]
     signs = [data.draw(st.sampled_from([1, -1])) for _ in range(terms)]
     if terms == 3:
@@ -367,7 +367,7 @@ def test_screen_passes_every_window_that_holds_a_sum(terms, data):
     shift = width.bit_length()
     origin, weight = [(start, 2), (start, 3), (start + (1 << shift), 4)][terms - 1]
     held = any(start <= v <= start + width for v in values)
-    keys = energy._keys([((min(values, default=0), max(values, default=0)), 0)])
+    keys = [((min(values, default=0), max(values, default=0)), 0)]
     assert not held or energy._screen([start], (start, start + width), origin, keys, [shift],
                                       weight)
 

@@ -566,7 +566,7 @@ def test_monte_carlo_on_stored_families_equals_plain_lists(family, n, param, lit
     assert "elements" not in vars(seq)
     plain = monte_carlo_ppc(literal, seed=7, trials=3, schedule=schedule, s_values=[0, 1, 3])
     assert stored.rows == plain.rows
-    words = paircorr._words(seq.members)
+    words = paircorr._reduced(seq.members, n, 1 << 64)
     assert words.dtype == np.uint64 and words.tolist() == [x % (1 << 64) for x in literal]
     if isinstance(seq.members, np.ndarray):  # a view, not a copy
         assert np.shares_memory(words, seq.members)
@@ -575,15 +575,31 @@ def test_monte_carlo_on_stored_families_equals_plain_lists(family, n, param, lit
 @pytest.mark.parametrize("family, n, param, literal", LITERAL_FAMILIES,
                          ids=[f"{f}-{n}-{d}" for f, n, d, _ in LITERAL_FAMILIES])
 def test_pair_correlation_on_stored_families_equals_plain_lists(family, n, param, literal):
-    # under a power-of-two q <= 2**64 an int64 family is read as its words,
-    # and its list of Python ints is never built; any other q reads the list
+    # every q reads a family from its stored members, an int64 array or a
+    # list, and its list of Python ints is never built
     for alpha in (Alpha.rational(12345678901, 1 << 64), Alpha.rational(3, 1 << 20),
-                  Alpha.rational(0), Alpha.rational(5, 97)):
+                  Alpha.rational(0), Alpha.rational(5, 97), Alpha.rational(7, (1 << 32) + 15),
+                  Alpha.rational(12345678901234567, (1 << 64) + 13)):
         seq = classic(family, n, param)
         for s in (Fraction(1, 2), 1, 3):
             assert pair_correlation(seq, alpha, n, s) == pair_correlation(literal, alpha, n, s)
-        words = isinstance(seq.members, np.ndarray) and alpha.den != 97
-        assert ("elements" in vars(seq)) != words
+        assert "elements" not in vars(seq)
+
+
+@pytest.mark.parametrize("q", [97, 1 << 20, (1 << 40) + 15, (1 << 64) + 13])
+def test_pair_correlation_on_a_raw_int64_array_with_negative_members(q, monkeypatch):
+    # numpy's % of an int64 array is x mod q for either sign; its words, the
+    # two's complement x mod 2**64, are right only where q divides 2**64.
+    # Above 2**32 the members become Python ints 64 at a time here.
+    monkeypatch.setattr(paircorr, "_SEARCH_CHUNK", 64)
+    rng = np.random.default_rng(97)
+    members = rng.integers(-(1 << 62), 1 << 62, size=400, dtype=np.int64)
+    members[:3] = [-1, -(1 << 63), (1 << 63) - 1]
+    alpha = Alpha.rational(12345678901234567 % q or 1, q)
+    for n in (333, 400):
+        for s in (Fraction(1, 2), 1, 5):
+            assert (pair_correlation(members, alpha, n, s)
+                    == pair_correlation(members.tolist(), alpha, n, s))
 
 
 def test_monte_carlo_leaves_the_squares_as_words():
@@ -662,7 +678,7 @@ def _refuse_conversion(monkeypatch):
     def convert(*args):
         raise AssertionError("residues computed before the input was checked")
 
-    monkeypatch.setattr(paircorr, "_words", convert)
+    monkeypatch.setattr(paircorr, "_reduced", convert)
     monkeypatch.setattr(paircorr, "_residues", convert)
 
 

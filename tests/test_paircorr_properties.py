@@ -168,7 +168,7 @@ def test_residue_step_contract(kind, data):
     # the fixed-point width check reads the elements, so negative ones, whose
     # words are 64 bits wide, take the words path under rational alpha only
     if q <= U64 and not q & (q - 1) and (alpha.mode == "rational" or min(xs, default=0) >= 0):
-        from_words, q_words, _ = paircorr._residues(alpha, paircorr._words(xs))
+        from_words, q_words, _ = paircorr._residues(alpha, paircorr._reduced(xs, len(xs), U64))
         assert q_words == q and from_words.dtype == np.uint64
         assert from_words.tolist() == literal
 
@@ -189,17 +189,20 @@ def test_width_check_edge(where, data):
     n, s = len(elements), Fraction(1)
     bits = width + guard
     mantissa = data.draw(st.integers(0, (1 << bits) - 1))
-    try:
-        r = pair_correlation(elements, Alpha.fixed(mantissa, bits, guard), n, s)
-    except PrecisionError as exc:  # a guard-window refusal, not the width check
-        assert "mantissa bits" not in str(exc)
-    else:
-        assert r == pair_correlation_naive(elements, Alpha.rational(mantissa, 1 << bits), n, s)
-    narrower = Alpha.fixed(mantissa >> 1, bits - 1, guard)
-    with pytest.raises(PrecisionError, match="mantissa bits"):
-        pair_correlation(elements, narrower, n, s)
-    with pytest.raises(PrecisionError, match="mantissa bits"):
-        paircorr._residues(narrower, elements)
+    # an int64 array is checked from its ends
+    sources = [elements] + ([np.array(elements, dtype=np.int64)] if width < 64 else [])
+    for source in sources:
+        try:
+            r = pair_correlation(source, Alpha.fixed(mantissa, bits, guard), n, s)
+        except PrecisionError as exc:  # a guard-window refusal, not the width check
+            assert "mantissa bits" not in str(exc)
+        else:
+            assert r == pair_correlation_naive(elements, Alpha.rational(mantissa, 1 << bits), n, s)
+        narrower = Alpha.fixed(mantissa >> 1, bits - 1, guard)
+        with pytest.raises(PrecisionError, match="mantissa bits"):
+            pair_correlation(source, narrower, n, s)
+        with pytest.raises(PrecisionError, match="mantissa bits"):
+            paircorr._residues(narrower, source)
 
 
 @pytest.mark.parametrize("kind", MODULI)
